@@ -11,8 +11,9 @@ to classified readings.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -38,8 +39,8 @@ class HazardBand:
             raise ValueError(
                 f"band {self.label!r}: lower ({self.lower}) must be < upper ({self.upper})"
             )
-        if self.crash_rate <= 0:
-            raise ValueError(f"band {self.label!r}: crash_rate must be > 0")
+        if not 0 < self.crash_rate < math.inf:
+            raise ValueError(f"band {self.label!r}: crash_rate must be finite and > 0")
         if self.dimension is Dimension.FRICTION and not (0 <= self.lower and self.upper <= 1):
             raise ValueError(f"band {self.label!r}: friction bounds must lie in [0, 1]")
         if self.dimension is Dimension.VISIBILITY and not (0 <= self.lower and self.upper <= 6562):
@@ -63,6 +64,9 @@ class EnvironmentReading:
     def __post_init__(self):
         if not 0 < self.mu <= 1:
             raise ValueError(f"mu must be in (0, 1], got {self.mu}")
+        for name in ("sight_distance", "grade", "design_speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sight_distance < 0:
             raise ValueError(f"sight_distance must be >= 0, got {self.sight_distance}")
         if self.mu + self.grade <= 0:
@@ -84,6 +88,8 @@ class Scenario:
 def _check_bands(bands: tuple[HazardBand, ...], dimension: Dimension, name: str) -> None:
     if len(bands) != 4:
         raise ValueError(f"{name}: expected exactly 4 bands, got {len(bands)}")
+    if len({band.label for band in bands}) != len(bands):
+        raise ValueError(f"{name}: band labels must be unique")
     for band in bands:
         if band.dimension is not dimension:
             raise ValueError(f"{name}: band {band.label!r} has wrong dimension")
@@ -95,11 +101,14 @@ def _check_bands(bands: tuple[HazardBand, ...], dimension: Dimension, name: str)
 @dataclass(frozen=True)
 class BandCatalog:
     """Friction bands plus the two visibility band sets, each sorted ascending
-    by lower bound."""
+    by lower bound. The two visibility sets carry the same labels; the
+    classification cuts are derived once, at construction."""
 
     friction_bands: tuple[HazardBand, ...]
     visibility_bands: tuple[HazardBand, ...]
     sampling_visibility_bands: tuple[HazardBand, ...]
+    _friction_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _visibility_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_bands(self.friction_bands, Dimension.FRICTION, "friction_bands")
@@ -113,6 +122,12 @@ class BandCatalog:
                 raise ValueError(
                     f"sampling_visibility_bands: gap between {lo.label!r} and {hi.label!r}"
                 )
+        if {b.label for b in sampling} != {b.label for b in self.visibility_bands}:
+            raise ValueError(
+                "sampling_visibility_bands: labels must match visibility_bands one to one"
+            )
+        object.__setattr__(self, "_friction_cuts", _band_cuts(self.friction_bands))
+        object.__setattr__(self, "_visibility_cuts", _band_cuts(sampling))
 
 
 # Crash rates: friction by surface condition, visibility by range band
@@ -216,10 +231,10 @@ def load_catalog(path: str | Path) -> BandCatalog:
     )
 
 
-def _band_cuts(bands: tuple[HazardBand, ...]) -> list[float]:
+def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:
     # Cut between adjacent bands at the midpoint of the gap (the shared
     # boundary when contiguous); a value equal to a cut goes to the upper band.
-    return [(lo.upper + hi.lower) / 2.0 for lo, hi in zip(bands, bands[1:])]
+    return tuple((lo.upper + hi.lower) / 2.0 for lo, hi in zip(bands, bands[1:]))
 
 
 def classify_value(value: float, bands: tuple[HazardBand, ...]) -> HazardBand:
@@ -237,9 +252,12 @@ def classify(
 ) -> tuple[HazardBand, HazardBand]:
     """Classify a reading into its friction band and its (sensor-aligned)
     visibility band."""
-    friction_band = classify_value(reading.mu, catalog.friction_bands)
-    visibility_band = classify_value(reading.sight_distance, catalog.sampling_visibility_bands)
-    return friction_band, visibility_band
+    return (
+        catalog.friction_bands[bisect_right(catalog._friction_cuts, reading.mu)],
+        catalog.sampling_visibility_bands[
+            bisect_right(catalog._visibility_cuts, reading.sight_distance)
+        ],
+    )
 
 
 def scenario_grid(catalog: BandCatalog) -> list[Scenario]:

@@ -9,22 +9,27 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
 from .bands import BandCatalog, EnvironmentReading, default_catalog, load_catalog
 from .probability import joint_probability, normalize_marginals
 from .reporting import (
+    HEATMAP_COLUMNS,
     REPLAY_COLUMNS,
     assessment_record,
     assessment_row,
-    fmt,
+    heatmap_rows,
     write_heatmap,
     write_joint,
     write_manifest,
     write_marginals,
+    write_rows,
     write_samples,
     write_scenario_stats,
 )
@@ -62,8 +67,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             samples_per_scenario=args.samples,
             sigma_rule=args.sigma_rule,
         )
-        if args.design_speed <= 0:
-            raise ValueError("design-speed must be > 0")
+        if not (0 < args.design_speed < math.inf and math.isfinite(args.grade)):
+            raise ValueError("design-speed must be finite and > 0, grade finite")
     except (ValueError, OSError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -132,10 +137,25 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(assessment_record(assessment), indent=2))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(REPLAY_COLUMNS[1:])
-        writer.writerow([fmt(v) for v in assessment_row(assessment)])
+        write_rows(sys.stdout, REPLAY_COLUMNS[1:], [assessment_row(assessment)])
     return EXIT_OK
+
+
+def _scored_rows(reader: csv.DictReader, catalog: BandCatalog, joint, design_speed: float):
+    """Replay output rows for the valid readings of a log; each invalid row
+    is skipped with a line-numbered warning."""
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            reading = EnvironmentReading(
+                mu=float(row["mu"]),
+                sight_distance=float(row["sight_ft"]),
+                grade=float(row.get("grade") or 0.0),
+                design_speed=float(row.get("design_speed") or design_speed),
+            )
+        except (TypeError, ValueError) as exc:
+            print(f"warning: line {lineno}: skipped ({exc})", file=sys.stderr)
+            continue
+        yield [row["timestamp"]] + assessment_row(assess(reading, catalog, joint))
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -150,7 +170,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_NOINPUT
     _, _, joint = _build_joint(catalog)
 
-    rows = []
     with open(input_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"timestamp", "mu", "sight_ft"}.issubset(
@@ -161,47 +180,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_NODATA
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                reading = EnvironmentReading(
-                    mu=float(row["mu"]),
-                    sight_distance=float(row["sight_ft"]),
-                    grade=float(row.get("grade") or 0.0),
-                    design_speed=float(row.get("design_speed") or args.design_speed),
-                )
-            except (TypeError, ValueError) as exc:
-                print(f"warning: line {lineno}: skipped ({exc})", file=sys.stderr)
-                continue
-            assessment = assess(reading, catalog, joint)
-            rows.append([row["timestamp"]] + assessment_row(assessment))
-
-    if not rows:
-        print("error: no valid rows in input", file=sys.stderr)
-        return EXIT_NODATA
-
-    try:
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+        rows = _scored_rows(reader, catalog, joint, args.design_speed)
+        first = next(rows, None)
+        if first is None:
+            print("error: no valid rows in input", file=sys.stderr)
+            return EXIT_NODATA
         try:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(REPLAY_COLUMNS)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+            with (
+                open(args.out, "w", newline="", encoding="utf-8")
+                if args.out
+                else nullcontext(sys.stdout)
+            ) as out:
+                write_rows(out, REPLAY_COLUMNS, chain([first], rows))
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_IO
     return EXIT_OK
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     matrix = risk_matrix()
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["severity_score"] + [f"prob_{p}" for p in range(1, 6)])
-        for s in range(5):
-            writer.writerow([s + 1] + [matrix[s][p][0] for p in range(5)])
+        write_rows(sys.stdout, HEATMAP_COLUMNS, heatmap_rows())
     elif args.format == "json":
         cells = [
             {

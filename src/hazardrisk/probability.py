@@ -3,14 +3,15 @@ of independent friction/visibility hazards, and ordinal probability scoring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 from .bands import Dimension, HazardBand
 
-# Probability score thresholds on the normalized joint probability.
+# Upper edges of probability scores 1-4 on the normalized joint probability.
 # Intervals are left-open/right-closed except the lowest, which is closed
 # at both ends.
-_PROBABILITY_THRESHOLDS = ((0.010, 1), (0.020, 2), (0.050, 3), (0.100, 4))
+_PROBABILITY_EDGES = (0.010, 0.020, 0.050, 0.100)
 
 
 @dataclass(frozen=True)
@@ -21,14 +22,7 @@ class MarginalDistribution:
     probs: tuple[tuple[str, float], ...]
 
     def __getitem__(self, label: str) -> float:
-        for band_label, p in self.probs:
-            if band_label == label:
-                return p
-        raise KeyError(label)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.probs)
+        return dict(self.probs)[label]
 
 
 @dataclass(frozen=True)
@@ -46,15 +40,14 @@ class JointProbabilityTable:
     friction-major in marginal order."""
 
     entries: tuple[JointEntry, ...]
+    _by_labels: dict[tuple[str, str], JointEntry] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_labels = {(e.friction_label, e.visibility_label): e for e in self.entries}
+        object.__setattr__(self, "_by_labels", by_labels)
 
     def lookup(self, friction_label: str, visibility_label: str) -> JointEntry:
-        for entry in self.entries:
-            if (entry.friction_label, entry.visibility_label) == (
-                friction_label,
-                visibility_label,
-            ):
-                return entry
-        raise KeyError((friction_label, visibility_label))
+        return self._by_labels[(friction_label, visibility_label)]
 
 
 def normalize_marginals(bands: list[HazardBand]) -> MarginalDistribution:
@@ -110,7 +103,4 @@ def score_probability(p: float) -> int:
     """Ordinal 1-5 probability score of a normalized joint probability."""
     if not 0 <= p <= 1:
         raise ValueError(f"probability must be in [0, 1], got {p}")
-    for threshold, score in _PROBABILITY_THRESHOLDS:
-        if p <= threshold:
-            return score
-    return 5
+    return bisect_left(_PROBABILITY_EDGES, p) + 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .bands import BandCatalog, Dimension, HazardBand
 from .probability import JointProbabilityTable, MarginalDistribution
@@ -35,6 +35,8 @@ SAMPLES_COLUMNS = [
 
 REPLAY_COLUMNS = ["timestamp"] + SAMPLES_COLUMNS[1:]
 
+HEATMAP_COLUMNS = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
+
 
 def fmt(value) -> str:
     """Stable scalar formatting: floats at 6 significant digits."""
@@ -43,15 +45,21 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> int:
+def write_rows(stream: TextIO, header: list[str], rows: Iterable[list]) -> int:
+    """Write a header and formatted rows as LF-terminated CSV to an open
+    text stream; returns the number of data rows."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
     count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-            count += 1
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+        count += 1
     return count
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> int:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        return write_rows(fh, header, rows)
 
 
 def assessment_row(assessment: Assessment) -> list:
@@ -74,24 +82,14 @@ def assessment_row(assessment: Assessment) -> list:
 
 
 def assessment_record(assessment: Assessment) -> dict:
-    """JSON-friendly view of one assessment."""
-    p = assessment.speed_profile
+    """JSON-friendly view of one assessment: the row's fields, with the
+    reading's grade and design speed after its sight distance."""
+    names, values = REPLAY_COLUMNS[1:], assessment_row(assessment)
     return {
-        "friction_label": assessment.friction_label,
-        "visibility_label": assessment.visibility_label,
-        "mu": assessment.reading.mu,
-        "sight_ft": assessment.reading.sight_distance,
+        **dict(zip(names[:4], values[:4])),
         "grade": assessment.reading.grade,
         "design_speed_mph": assessment.reading.design_speed,
-        "joint_prob": assessment.joint_probability,
-        "prob_score": assessment.probability_score,
-        "v_fhwa_mph": p.v_fhwa,
-        "v_scaled_mph": p.v_scaled,
-        "v_advisory_mph": p.v_advisory,
-        "reduction_pct": p.reduction_pct,
-        "severity_score": assessment.severity_score,
-        "risk_score": assessment.risk_score,
-        "risk_level": assessment.risk_level.value,
+        **dict(zip(names[4:], values[4:])),
     }
 
 
@@ -134,14 +132,13 @@ def write_scenario_stats(path: Path, stats: list[ScenarioStats]) -> int:
     return _write_csv(path, header, rows)
 
 
+def heatmap_rows() -> list[list[int]]:
+    """Risk-score rows of the 5x5 matrix, severity 1..5 by probability 1..5."""
+    return [[s] + [score for score, _ in row] for s, row in enumerate(risk_matrix(), 1)]
+
+
 def write_heatmap(path: Path) -> int:
-    matrix = risk_matrix()
-    header = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
-    rows = (
-        [s + 1] + [matrix[s][p][0] for p in range(5)]
-        for s in range(5)
-    )
-    return _write_csv(path, header, rows)
+    return _write_csv(path, HEATMAP_COLUMNS, heatmap_rows())
 
 
 def write_marginals(

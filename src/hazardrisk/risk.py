@@ -19,14 +19,8 @@ class RiskLevel(str, Enum):
     EXTREME = "Extreme"
 
 
-# Composite score bands, inclusive on both ends.
-_LEVEL_BANDS = (
-    (1, 5, RiskLevel.LOW),
-    (6, 10, RiskLevel.LOW_MEDIUM),
-    (11, 15, RiskLevel.MEDIUM),
-    (16, 20, RiskLevel.HIGH),
-    (21, 25, RiskLevel.EXTREME),
-)
+# Levels in score order; each spans five composite scores, 1-5 up to 21-25.
+_LEVELS = tuple(RiskLevel)
 
 
 @dataclass(frozen=True)
@@ -60,10 +54,7 @@ def risk_level(score: int) -> RiskLevel:
     """Five-tier risk level of a composite score in 1..25."""
     if not (isinstance(score, int) and 1 <= score <= 25):
         raise ValueError(f"risk score must be an integer in 1..25, got {score!r}")
-    for lo, hi, level in _LEVEL_BANDS:
-        if lo <= score <= hi:
-            return level
-    raise AssertionError("level bands cover 1..25")
+    return _LEVELS[(score - 1) // 5]
 
 
 def risk_matrix() -> list[list[tuple[int, RiskLevel]]]:

@@ -86,13 +86,6 @@ def band_sample_params(band: HazardBand, sigma_rule: float) -> tuple[float, floa
     return band.midpoint, (band.upper - band.lower) / sigma_rule
 
 
-def _sampling_band(catalog: BandCatalog, label: str) -> HazardBand:
-    for band in catalog.sampling_visibility_bands:
-        if band.label == label:
-            return band
-    raise KeyError(f"no sampling visibility band labeled {label!r}")
-
-
 def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
     """Draw samples_per_scenario (mu, sight) pairs for each of the 16
     scenarios; friction comes from the scenario's friction band and sight
@@ -102,12 +95,13 @@ def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
     the dataset is deterministic and scenarios are independent of each other.
     """
     scenarios = scenario_grid(catalog)
+    sampling_bands = {band.label: band for band in catalog.sampling_visibility_bands}
     records = []
     n = config.samples_per_scenario
     for scenario in scenarios:
         rng = np.random.default_rng([config.seed, scenario.scenario_id])
         fband = scenario.friction_band
-        vband = _sampling_band(catalog, scenario.visibility_band.label)
+        vband = sampling_bands[scenario.visibility_band.label]
         f_mean, f_sigma = band_sample_params(fband, config.sigma_rule)
         v_mean, v_sigma = band_sample_params(vband, config.sigma_rule)
         mus = [

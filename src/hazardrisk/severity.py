@@ -4,10 +4,12 @@ design speed, and ordinal scoring of the required percent speed reduction."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-# Severity score bins on percent speed reduction, left-closed.
-_SEVERITY_THRESHOLDS = ((6.67, 1), (20.0, 2), (100.0 / 3.0, 3), (200.0 / 3.0, 4))
+# Lower edges of severity scores 2-5 on percent speed reduction; bins are
+# left-closed.
+_SEVERITY_EDGES = (6.67, 20.0, 100.0 / 3.0, 200.0 / 3.0)
 
 # Nebraska-DOT scaling of the raw safe speed.
 SPEED_SCALE = 15.0 / 22.0
@@ -61,10 +63,7 @@ def score_severity(reduction_pct: float) -> int:
     """Ordinal 1-5 severity score of a percent speed reduction."""
     if not 0 <= reduction_pct <= 100:
         raise ValueError(f"reduction percent must be in [0, 100], got {reduction_pct}")
-    for threshold, score in _SEVERITY_THRESHOLDS:
-        if reduction_pct < threshold:
-            return score
-    return 5
+    return bisect_right(_SEVERITY_EDGES, reduction_pct) + 1
 
 
 def speed_profile(

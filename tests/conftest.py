@@ -13,3 +13,34 @@ def joint_table(catalog):
     p_f = normalize_marginals(list(catalog.friction_bands))
     p_v = normalize_marginals(list(catalog.visibility_bands))
     return joint_probability(p_f, p_v)
+
+
+@pytest.fixture(scope="session")
+def default_rates_csv(catalog):
+    """The default catalog as crash-rate CSV text, in load_catalog's schema."""
+    lines = ["dimension,label,lower,upper,crash_rate"]
+    for dim, bands in [
+        ("friction", catalog.friction_bands),
+        ("visibility", catalog.visibility_bands),
+        ("sampling_visibility", catalog.sampling_visibility_bands),
+    ]:
+        lines += [f"{dim},{b.label},{b.lower},{b.upper},{b.crash_rate}" for b in bands]
+    return "\n".join(lines) + "\n"
+
+
+# Single-line edits of default_rates_csv that load_catalog must reject.
+BAD_CATALOG_EDITS = {
+    "sampling_label_not_in_visibility": ("sampling_visibility,Clear,", "sampling_visibility,Sunny,"),
+    "duplicate_friction_label": ("friction,Snow,", "friction,Icy,"),
+    "nan_crash_rate": ("friction,Dry,0.7,0.9,1.9", "friction,Dry,0.7,0.9,nan"),
+    "inf_crash_rate": ("visibility,Clear,1640.0,6562.0,0.685", "visibility,Clear,1640.0,6562.0,inf"),
+}
+
+
+@pytest.fixture(params=sorted(BAD_CATALOG_EDITS))
+def bad_rates_path(request, default_rates_csv, tmp_path):
+    old, new = BAD_CATALOG_EDITS[request.param]
+    assert default_rates_csv.count(old) == 1
+    path = tmp_path / "rates.csv"
+    path.write_text(default_rates_csv.replace(old, new))
+    return path

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestBandValidation:
         with pytest.raises(ValueError):
             HazardBand(Dimension.FRICTION, "bad", 0.9, 1.1, 1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_nonfinite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="crash_rate"):
+            HazardBand(Dimension.FRICTION, "bad", 0.4, 0.5, rate)
+
 
 class TestReadingValidation:
     def test_mu_zero_rejected(self):
@@ -58,6 +65,13 @@ class TestReadingValidation:
     def test_negative_sight_rejected(self):
         with pytest.raises(ValueError):
             EnvironmentReading(mu=0.5, sight_distance=-1)
+
+    @pytest.mark.parametrize("field", ["sight_distance", "grade", "design_speed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_field_rejected(self, field, value):
+        fields = {"mu": 0.5, "sight_distance": 500.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            EnvironmentReading(**fields)
 
     def test_grade_cancelling_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -150,20 +164,18 @@ class TestScenarioGrid:
 
 
 class TestLoadCatalog:
-    def test_roundtrip_defaults(self, catalog, tmp_path):
+    def test_roundtrip_defaults(self, catalog, default_rates_csv, tmp_path):
         path = tmp_path / "rates.csv"
-        lines = ["dimension,label,lower,upper,crash_rate"]
-        for dim, bands in [
-            ("friction", catalog.friction_bands),
-            ("visibility", catalog.visibility_bands),
-            ("sampling_visibility", catalog.sampling_visibility_bands),
-        ]:
-            lines += [
-                f"{dim},{b.label},{b.lower},{b.upper},{b.crash_rate}" for b in bands
-            ]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(default_rates_csv)
         loaded = load_catalog(path)
         assert loaded == catalog
+        assert classify(EnvironmentReading(0.1, 150), loaded) == classify(
+            EnvironmentReading(0.1, 150), catalog
+        )
+
+    def test_inconsistent_catalog_rejected(self, bad_rates_path):
+        with pytest.raises(ValueError):
+            load_catalog(bad_rates_path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "rates.csv"

@@ -87,6 +87,13 @@ class TestSimulate:
         assert main(["simulate", "--samples", "0", "--out", str(tmp_path)]) == 64
         assert "samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--grade", "nan"], ["--design-speed", "inf"], ["--design-speed", "nan"]]
+    )
+    def test_nonfinite_flag_exits_64(self, tmp_path, capsys, flags):
+        assert main(["simulate", "--samples", "1", "--out", str(tmp_path)] + flags) == 64
+        assert "finite" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")
@@ -117,6 +124,10 @@ class TestAssess:
     def test_invalid_reading_exits_64(self, capsys):
         assert main(["assess", "--mu", "0", "--sight-ft", "100"]) == 64
         assert "mu" in capsys.readouterr().err
+
+    def test_nonfinite_grade_exits_64(self, capsys):
+        assert main(["assess", "--mu", "0.1", "--sight-ft", "100", "--grade", "nan"]) == 64
+        assert "grade must be finite" in capsys.readouterr().err
 
     def test_custom_design_speed(self, capsys):
         assert main(["assess", "--mu", "0.8", "--sight-ft", "5000",
@@ -158,6 +169,23 @@ class TestReplay:
         assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
         assert len(read_csv(out)) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_nonfinite_rows_skipped_with_line_numbers(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text(
+            "timestamp,mu,sight_ft,grade,design_speed\n"
+            "t0,0.1,100,nan,\n"
+            "t1,0.8,nan,0,\n"
+            "t2,0.5,600,0,inf\n"
+            "t3,0.1,100,0,\n"
+        )
+        out = tmp_path / "assessed.csv"
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [(r["timestamp"], r["risk_level"]) for r in rows] == [("t3", "Extreme")]
+        err = capsys.readouterr().err
+        for lineno, name in [(2, "grade"), (3, "sight_distance"), (4, "design_speed")]:
+            assert f"line {lineno}: skipped ({name} must be finite" in err
 
     def test_optional_grade_and_design_speed_columns(self, tmp_path):
         src = tmp_path / "readings.csv"
@@ -210,16 +238,9 @@ class TestMatrix:
 
 
 class TestConfigOverride:
-    def test_config_file_flag(self, tmp_path, capsys, catalog):
+    def test_config_file_flag(self, tmp_path, capsys, default_rates_csv):
         path = tmp_path / "rates.csv"
-        lines = ["dimension,label,lower,upper,crash_rate"]
-        for dim, bands in [
-            ("friction", catalog.friction_bands),
-            ("visibility", catalog.visibility_bands),
-            ("sampling_visibility", catalog.sampling_visibility_bands),
-        ]:
-            lines += [f"{dim},{b.label},{b.lower},{b.upper},{b.crash_rate}" for b in bands]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(default_rates_csv)
         assert main(["assess", "--mu", "0.1", "--sight-ft", "150",
                      "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["risk_score"] == 25
@@ -252,3 +273,9 @@ class TestConfigOverride:
         path.write_text("nonsense\n")
         assert main(["assess", "--mu", "0.5", "--sight-ft", "500",
                      "--config", str(path)]) == 64
+
+    def test_inconsistent_config_exits_64(self, bad_rates_path, capsys):
+        assert main(["assess", "--mu", "0.8", "--sight-ft", "5000",
+                     "--config", str(bad_rates_path)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
