@@ -1,5 +1,5 @@
 """Hazard band catalog: friction and visibility bands, reading classification,
-and the 16-scenario grid.
+and the scenario grid.
 
 Two visibility catalogs coexist: the literature bands that carry crash rates
 (used for probability lookup) and the sensor-aligned bands that cover the
@@ -77,7 +77,7 @@ class EnvironmentReading:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One friction-band x visibility-band pairing of the 16-scenario grid."""
+    """One friction-band x visibility-band pairing of the scenario grid."""
 
     scenario_id: int
     friction_band: HazardBand
@@ -86,8 +86,8 @@ class Scenario:
 
 
 def _check_bands(bands: tuple[HazardBand, ...], dimension: Dimension, name: str) -> None:
-    if len(bands) != 4:
-        raise ValueError(f"{name}: expected exactly 4 bands, got {len(bands)}")
+    if not bands:
+        raise ValueError(f"{name}: expected at least one band")
     if len({band.label for band in bands}) != len(bands):
         raise ValueError(f"{name}: band labels must be unique")
     for band in bands:
@@ -207,6 +207,8 @@ def load_catalog(path: str | Path) -> BandCatalog:
                 f"crash-rate config {path}: header must contain {sorted(required)}"
             )
         for lineno, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise ValueError(f"crash-rate config {path} line {lineno}: field count differs from header")
             dim = row["dimension"].strip().lower()
             if dim not in groups:
                 raise ValueError(f"crash-rate config {path} line {lineno}: unknown dimension {dim!r}")
@@ -261,8 +263,8 @@ def classify(
 
 
 def scenario_grid(catalog: BandCatalog) -> list[Scenario]:
-    """All 16 friction x visibility scenarios in presentation order
-    (friction-major, best conditions first)."""
+    """Every friction x visibility scenario of the catalog in presentation
+    order (friction-major, best conditions first)."""
     scenarios = []
     sid = 1
     for fband in reversed(catalog.friction_bands):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -60,19 +59,12 @@ def _build_joint(catalog: BandCatalog):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        catalog, table_source = _resolve_catalog(args.config)
-        config = SamplerConfig(
-            seed=args.seed,
-            samples_per_scenario=args.samples,
-            sigma_rule=args.sigma_rule,
-        )
-        if not (0 < args.design_speed < math.inf and math.isfinite(args.grade)):
-            raise ValueError("design-speed must be finite and > 0, grade finite")
-    except (ValueError, OSError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    catalog, table_source = _resolve_catalog(args.config)
+    config = SamplerConfig(
+        seed=args.seed,
+        samples_per_scenario=args.samples,
+        sigma_rule=args.sigma_rule,
+    )
     p_f, p_v, joint = _build_joint(catalog)
     samples = generate_dataset(config, catalog)
     assessed = []
@@ -121,17 +113,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    try:
-        catalog, _ = _resolve_catalog(args.config)
-        reading = EnvironmentReading(
-            mu=args.mu,
-            sight_distance=args.sight_ft,
-            grade=args.grade,
-            design_speed=args.design_speed,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    catalog, _ = _resolve_catalog(args.config)
+    reading = EnvironmentReading(
+        mu=args.mu,
+        sight_distance=args.sight_ft,
+        grade=args.grade,
+        design_speed=args.design_speed,
+    )
     _, _, joint = _build_joint(catalog)
     assessment = assess(reading, catalog, joint)
     if args.format == "json":
@@ -159,42 +147,45 @@ def _scored_rows(reader: csv.DictReader, catalog: BandCatalog, joint, design_spe
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        catalog, _ = _resolve_catalog(args.config)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    catalog, _ = _resolve_catalog(args.config)
+    # Every row without its own design_speed uses the flag: check it once, on
+    # an otherwise valid reading, instead of skipping each such row.
+    EnvironmentReading(mu=1.0, sight_distance=0.0, design_speed=args.design_speed)
     input_path = Path(args.input)
     if not input_path.is_file():
         print(f"error: input file not found: {input_path}", file=sys.stderr)
         return EXIT_NOINPUT
     _, _, joint = _build_joint(catalog)
 
-    with open(input_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"timestamp", "mu", "sight_ft"}.issubset(
-            reader.fieldnames
-        ):
-            print(
-                "error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
-                file=sys.stderr,
-            )
-            return EXIT_NODATA
-        rows = _scored_rows(reader, catalog, joint, args.design_speed)
-        first = next(rows, None)
-        if first is None:
-            print("error: no valid rows in input", file=sys.stderr)
-            return EXIT_NODATA
-        try:
-            with (
-                open(args.out, "w", newline="", encoding="utf-8")
-                if args.out
-                else nullcontext(sys.stdout)
-            ) as out:
-                write_rows(out, REPLAY_COLUMNS, chain([first], rows))
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
+    try:
+        with open(input_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not {"timestamp", "mu", "sight_ft"}.issubset(
+                reader.fieldnames
+            ):
+                print(
+                    "error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
+                    file=sys.stderr,
+                )
+                return EXIT_NODATA
+            rows = _scored_rows(reader, catalog, joint, args.design_speed)
+            first = next(rows, None)
+            if first is None:
+                print("error: no valid rows in input", file=sys.stderr)
+                return EXIT_NODATA
+            try:
+                with (
+                    open(args.out, "w", newline="", encoding="utf-8")
+                    if args.out
+                    else nullcontext(sys.stdout)
+                ) as out:
+                    write_rows(out, REPLAY_COLUMNS, chain([first], rows))
+            except OSError as exc:
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
+                return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: {input_path} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_NODATA
     return EXIT_OK
 
 
@@ -270,7 +261,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the usage code
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    # The one place an invalid flag, reading or --config becomes exit 64;
+    # commands handle only the errors that map to another code.
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -77,8 +77,6 @@ def joint_probability(
     """
     if p_f.dimension is not Dimension.FRICTION or p_v.dimension is not Dimension.VISIBILITY:
         raise ValueError("expected a friction marginal and a visibility marginal")
-    if len(p_f.probs) != 4 or len(p_v.probs) != 4:
-        raise ValueError("expected 4 bands per marginal")
     raw = {
         (fl, vl): pf * pv
         for fl, pf in p_f.probs

@@ -1,5 +1,5 @@
 """Synthetic case-study dataset: seeded truncated-normal draws of friction and
-sight distance for each of the 16 scenarios, plus per-scenario risk statistics.
+sight distance for each scenario of the grid, plus per-scenario risk statistics.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples_per_scenario < 1:
             raise ValueError("samples_per_scenario must be >= 1")
-        if self.sigma_rule <= 0:
-            raise ValueError("sigma_rule must be > 0")
+        # Below 0.01 a band holds < 0.4% of the mass: rejection could fail.
+        if not 0.01 <= self.sigma_rule < np.inf:
+            raise ValueError(f"sigma_rule must be finite and >= 0.01, got {self.sigma_rule}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ def band_sample_params(band: HazardBand, sigma_rule: float) -> tuple[float, floa
 
 
 def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
-    """Draw samples_per_scenario (mu, sight) pairs for each of the 16
-    scenarios; friction comes from the scenario's friction band and sight
+    """Draw samples_per_scenario (mu, sight) pairs for each scenario of the
+    grid; friction comes from the scenario's friction band and sight
     distance from the matching sensor-aligned visibility band.
 
     Each scenario uses its own substream derived from (seed, scenario_id), so

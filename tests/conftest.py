@@ -34,6 +34,8 @@ BAD_CATALOG_EDITS = {
     "duplicate_friction_label": ("friction,Snow,", "friction,Icy,"),
     "nan_crash_rate": ("friction,Dry,0.7,0.9,1.9", "friction,Dry,0.7,0.9,nan"),
     "inf_crash_rate": ("visibility,Clear,1640.0,6562.0,0.685", "visibility,Clear,1640.0,6562.0,inf"),
+    "short_row": ("friction,Icy,0.05,0.15,9.0\n", "friction,Icy,0.05\n"),
+    "long_row": ("friction,Wet,0.4,0.6,3.75\n", "friction,Wet,0.4,0.6,3.75,1\n"),
 }
 
 

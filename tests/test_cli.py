@@ -94,6 +94,32 @@ class TestSimulate:
         assert main(["simulate", "--samples", "1", "--out", str(tmp_path)] + flags) == 64
         assert "finite" in capsys.readouterr().err
 
+    def test_negative_grade_reached_by_a_draw_exits_64(self, tmp_path, capsys):
+        # An Icy draw below 0.1 meets the -0.1 grade before any file is written.
+        assert main(["simulate", "--samples", "5", "--grade", "-0.1",
+                     "--out", str(tmp_path / "s")]) == 64
+        assert capsys.readouterr().err.startswith("error: mu + grade must be > 0")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("sigma_rule", ["1e-9", "nan", "inf"])
+    def test_unsamplable_sigma_rule_exits_64(self, tmp_path, capsys, sigma_rule):
+        assert main(["simulate", "--samples", "5", "--sigma-rule", sigma_rule,
+                     "--out", str(tmp_path)]) == 64
+        assert "sigma_rule must be finite and >= 0.01" in capsys.readouterr().err
+
+    def test_three_band_config(self, tmp_path, default_rates_csv):
+        # Drop Icy friction and the Clear band from both visibility sets.
+        kept = [line for line in default_rates_csv.splitlines()
+                if ",Icy," not in line and ",Clear," not in line]
+        path = tmp_path / "rates.csv"
+        path.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--samples", "5", "--config", str(path),
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out / "scenario_stats.csv")) == 9
+        assert len(read_csv(out / "joint.csv")) == 9
+        assert len(read_csv(out / "samples.csv")) == 45
+
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")
@@ -197,6 +223,23 @@ class TestReplay:
         assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
         row = read_csv(out)[0]
         assert float(row["reduction_pct"]) <= 100
+
+    @pytest.mark.parametrize("speed", ["nan", "inf", "0", "-5"])
+    def test_invalid_design_speed_flag_exits_64(self, tmp_path, capsys, speed):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "t,0.8,5000\n" * 3)
+        assert main(["replay", "--input", str(src), "--design-speed", speed]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: design_speed must be")
+        assert "warning" not in captured.err
+
+    def test_non_utf8_log_exits_65(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_bytes("timestamp,mu,sight_ft\nt0,0.8,5000\n".encode("utf-16"))
+        assert main(["replay", "--input", str(src)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(src) in err and "UTF-8" in err
 
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66

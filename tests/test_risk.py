@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hazardrisk import (
     EnvironmentReading,
@@ -153,3 +155,33 @@ class TestAssess:
                     s_score,
                     score,
                 ), (mu, sight)
+
+
+
+# Readings inside EnvironmentReading's domain: mu in (0, 1], sight >= 0,
+# mu + grade > 0, design speed > 0, all finite.
+reading_fields = st.fixed_dictionaries(
+    {
+        "mu": st.floats(min_value=0, max_value=1, exclude_min=True),
+        "sight_distance": st.floats(min_value=0, max_value=1e5),
+        "grade": st.floats(min_value=-1, max_value=1),
+        "design_speed": st.floats(min_value=0, max_value=200, exclude_min=True),
+    }
+).filter(lambda f: f["mu"] + f["grade"] > 0)
+
+
+class TestAssessProperties:
+    @given(fields=reading_fields)
+    def test_risk_is_product_and_level_of_score(self, catalog, joint_table, fields):
+        result = assess(EnvironmentReading(**fields), catalog, joint_table)
+        assert result.risk_score == result.probability_score * result.severity_score
+        assert result.risk_level == risk_level(result.risk_score)
+
+    @given(
+        fields=reading_fields,
+        field=st.sampled_from(["sight_distance", "grade", "design_speed"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_nonfinite_field_rejected(self, fields, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EnvironmentReading(**{**fields, field: value})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,10 @@ class TestGenerateDataset:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SamplerConfig(samples_per_scenario=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(sigma_rule=0)
+        # Too small to sample (band edges inside +-0.005 sigma) or non-finite.
+        for sigma_rule in (0, 1e-9, 0.0099, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sigma_rule"):
+                SamplerConfig(sigma_rule=sigma_rule)
 
 
 def _assessed_scores(samples, catalog, joint_table):
