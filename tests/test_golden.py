@@ -1,7 +1,8 @@
-"""Reference bytes of the seed-42 case study.
+"""Reference bytes of the CLI outputs.
 
 The sha256 of each file written by `hazardrisk simulate --seed 42` (default
-100 samples per scenario, grade 0, design speed 75 mph, built-in catalog).
+100 samples per scenario, grade 0, design speed 75 mph, built-in catalog),
+and of the CSV that `assess`, `matrix` and `replay` print (further down).
 Any refactor of the engine, the sampler or the writers must reproduce them.
 """
 
@@ -40,3 +41,40 @@ def test_writes_exactly_the_golden_files(seed42_dir):
 def test_output_matches_golden_digest(seed42_dir, name):
     digest = hashlib.sha256((seed42_dir / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+# A replay log with both optional columns, empty optional fields, a sight
+# distance past the sensor range and one row the domain rejects (line 4).
+REPLAY_LOG = (
+    "timestamp,mu,sight_ft,grade,design_speed\n"
+    "t0,0.8,5000,,\n"
+    "t1,0.25,582,0.02,\n"
+    "t2,0,100,,\n"
+    "t3,0.1,150,-0.03,55\n"
+    "t4,0.55,12345.678,0.005,65.5\n"
+)
+
+# stdout of the other commands that write CSV, on the built-in catalog.
+CLI_ARGV = {
+    "assess_csv": ["assess", "--mu", "0.25", "--sight-ft", "582", "--grade", "0.02",
+                   "--format", "csv"],
+    "matrix_csv": ["matrix", "--format", "csv"],
+    "replay_csv": ["replay", "--input", "{log}"],
+}
+
+CLI_GOLDEN_SHA256 = {
+    "assess_csv": "d44cee82baa64068ba58b26bc3a487a20d87cf931771ab252203253ce5ebb800",
+    "matrix_csv": "f85ad9ed7103dbb9df60cf06a10119a10709e0623c4bc5a53e85857bff8a4be2",
+    "replay_csv": "04bdba25617fc6a4f57b1deb170870bac217a6d9af4a47597fda50e537c0c20b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN_SHA256))
+def test_cli_stdout_matches_golden_digest(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+    log = tmp_path / "log.csv"
+    log.write_text(REPLAY_LOG)
+    assert main([arg.format(log=log) for arg in CLI_ARGV[name]]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CLI_GOLDEN_SHA256[name], out
