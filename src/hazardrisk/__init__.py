@@ -2,7 +2,8 @@
 
 Combines crash-probability scores (from friction/visibility crash rates) with
 severity scores (from advisory-speed reduction) into a 1-25 composite risk
-score, and generates the seeded 16-scenario Monte Carlo case-study dataset.
+score, and generates the seeded Monte Carlo case-study dataset over the
+catalog's scenario grid (16 with the built-in catalog).
 """
 
 __version__ = "0.1.0"

@@ -201,25 +201,29 @@ def load_catalog(path: str | Path) -> BandCatalog:
     groups: dict[str, list] = {"friction": [], "visibility": [], "sampling_visibility": []}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"dimension", "label", "lower", "upper", "crash_rate"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        try:
+            fieldnames, records = reader.fieldnames, list(reader)
+        except csv.Error as exc:
             raise ValueError(
-                f"crash-rate config {path}: header must contain {sorted(required)}"
+                f"crash-rate config {path} line {reader.reader.line_num}: {exc}"
+            ) from exc
+    required = {"dimension", "label", "lower", "upper", "crash_rate"}
+    if fieldnames is None or not required.issubset(fieldnames):
+        raise ValueError(f"crash-rate config {path}: header must contain {sorted(required)}")
+    for lineno, row in enumerate(records, start=2):
+        if None in row or None in row.values():
+            raise ValueError(f"crash-rate config {path} line {lineno}: field count differs from header")
+        dim = row["dimension"].strip().lower()
+        if dim not in groups:
+            raise ValueError(f"crash-rate config {path} line {lineno}: unknown dimension {dim!r}")
+        groups[dim].append(
+            (
+                row["label"].strip(),
+                float(row["lower"]),
+                float(row["upper"]),
+                float(row["crash_rate"]),
             )
-        for lineno, row in enumerate(reader, start=2):
-            if None in row or None in row.values():
-                raise ValueError(f"crash-rate config {path} line {lineno}: field count differs from header")
-            dim = row["dimension"].strip().lower()
-            if dim not in groups:
-                raise ValueError(f"crash-rate config {path} line {lineno}: unknown dimension {dim!r}")
-            groups[dim].append(
-                (
-                    row["label"].strip(),
-                    float(row["lower"]),
-                    float(row["upper"]),
-                    float(row["crash_rate"]),
-                )
-            )
+        )
     for dim, rows in groups.items():
         if not rows:
             raise ValueError(f"crash-rate config {path}: no {dim} bands defined")
@@ -237,16 +241,6 @@ def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:
     # Cut between adjacent bands at the midpoint of the gap (the shared
     # boundary when contiguous); a value equal to a cut goes to the upper band.
     return tuple((lo.upper + hi.lower) / 2.0 for lo, hi in zip(bands, bands[1:]))
-
-
-def classify_value(value: float, bands: tuple[HazardBand, ...]) -> HazardBand:
-    """Map a continuous value to exactly one band of a sorted band list.
-
-    Bands are extended to contiguous coverage of the whole axis: gaps split at
-    their midpoints and values beyond the outermost bands map to the nearest
-    outer band.
-    """
-    return bands[bisect_right(_band_cuts(bands), value)]
 
 
 def classify(

@@ -186,6 +186,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: {input_path} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_NODATA
+    except csv.Error as exc:
+        print(
+            f"error: {input_path} is not readable CSV at line {reader.reader.line_num}: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_NODATA
     return EXIT_OK
 
 
@@ -221,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run the 16-scenario Monte Carlo case study")
+    p_sim = sub.add_parser(
+        "simulate",
+        help="run the Monte Carlo case study over the catalog's scenario grid "
+        "(16 with the built-in catalog)",
+    )
     p_sim.add_argument("--seed", type=int, default=42)
     p_sim.add_argument("--samples", type=int, default=100, help="samples per scenario")
     p_sim.add_argument("--sigma-rule", type=float, default=6.0)

@@ -58,8 +58,6 @@ def normalize_marginals(bands: list[HazardBand]) -> MarginalDistribution:
     dimensions = {band.dimension for band in bands}
     if len(dimensions) != 1:
         raise ValueError("all bands must share one dimension")
-    if any(band.crash_rate <= 0 for band in bands):
-        raise ValueError("crash rates must all be > 0")
     total = sum(band.crash_rate for band in bands)
     probs = tuple((band.label, band.crash_rate / total) for band in bands)
     return MarginalDistribution(dimension=dimensions.pop(), probs=probs)
@@ -77,24 +75,14 @@ def joint_probability(
     """
     if p_f.dimension is not Dimension.FRICTION or p_v.dimension is not Dimension.VISIBILITY:
         raise ValueError("expected a friction marginal and a visibility marginal")
-    raw = {
-        (fl, vl): pf * pv
-        for fl, pf in p_f.probs
-        for vl, pv in p_v.probs
-    }
-    total = sum(raw.values())
-    entries = tuple(
-        JointEntry(
-            friction_label=fl,
-            visibility_label=vl,
-            raw_joint=raw[(fl, vl)],
-            normalized_joint=raw[(fl, vl)] / total,
-            probability_score=score_probability(raw[(fl, vl)] / total),
+    pairs = [(fl, vl, pf * pv) for fl, pf in p_f.probs for vl, pv in p_v.probs]
+    total = sum(raw for _, _, raw in pairs)
+    return JointProbabilityTable(
+        entries=tuple(
+            JointEntry(fl, vl, raw, raw / total, score_probability(raw / total))
+            for fl, vl, raw in pairs
         )
-        for fl, _ in p_f.probs
-        for vl, _ in p_v.probs
     )
-    return JointProbabilityTable(entries=entries)
 
 
 def score_probability(p: float) -> int:

@@ -38,21 +38,14 @@ REPLAY_COLUMNS = ["timestamp"] + SAMPLES_COLUMNS[1:]
 HEATMAP_COLUMNS = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
 
 
-def fmt(value) -> str:
-    """Stable scalar formatting: floats at 6 significant digits."""
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
 def write_rows(stream: TextIO, header: list[str], rows: Iterable[list]) -> int:
-    """Write a header and formatted rows as LF-terminated CSV to an open
-    text stream; returns the number of data rows."""
+    """Write a header and rows as LF-terminated CSV to an open text stream,
+    floats at 6 significant digits; returns the number of data rows."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     count = 0
     for row in rows:
-        writer.writerow([fmt(v) for v in row])
+        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
         count += 1
     return count
 
@@ -147,21 +140,13 @@ def write_marginals(
     p_f: MarginalDistribution,
     p_v: MarginalDistribution,
 ) -> int:
-    def rows():
-        for band, dist in [(b, p_f) for b in catalog.friction_bands] + [
-            (b, p_v) for b in catalog.visibility_bands
-        ]:
-            yield [
-                band.dimension.value,
-                band.label,
-                band.lower,
-                band.upper,
-                band.crash_rate,
-                dist[band.label],
-            ]
-
+    rows = (
+        [band.dimension.value, band.label, band.lower, band.upper, band.crash_rate, p]
+        for bands, dist in [(catalog.friction_bands, p_f), (catalog.visibility_bands, p_v)]
+        for band, (_, p) in zip(bands, dist.probs)
+    )
     header = ["dimension", "label", "lower", "upper", "crash_rate", "probability"]
-    return _write_csv(path, header, rows())
+    return _write_csv(path, header, rows)
 
 
 def write_joint(path: Path, table: JointProbabilityTable) -> int:

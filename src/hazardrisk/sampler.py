@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandCatalog, HazardBand, Scenario, scenario_grid
+from .bands import BandCatalog, Scenario, scenario_grid
 
 _MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -41,7 +41,6 @@ class SampleRecord:
 class SampleSet:
     """Sampled (friction, sight distance) pairs grouped by scenario."""
 
-    config: SamplerConfig
     scenarios: tuple[Scenario, ...]
     records: tuple[SampleRecord, ...]
 
@@ -82,11 +81,6 @@ def truncated_normal(
     )
 
 
-def band_sample_params(band: HazardBand, sigma_rule: float) -> tuple[float, float]:
-    """(mean, sigma) for sampling within a band: midpoint and range/sigma_rule."""
-    return band.midpoint, (band.upper - band.lower) / sigma_rule
-
-
 def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
     """Draw samples_per_scenario (mu, sight) pairs for each scenario of the
     grid; friction comes from the scenario's friction band and sight
@@ -103,21 +97,22 @@ def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
         rng = np.random.default_rng([config.seed, scenario.scenario_id])
         fband = scenario.friction_band
         vband = sampling_bands[scenario.visibility_band.label]
-        f_mean, f_sigma = band_sample_params(fband, config.sigma_rule)
-        v_mean, v_sigma = band_sample_params(vband, config.sigma_rule)
+        # Mean at the band midpoint, sigma = band range / sigma_rule.
+        f_sigma = (fband.upper - fband.lower) / config.sigma_rule
+        v_sigma = (vband.upper - vband.lower) / config.sigma_rule
         mus = [
-            truncated_normal(f_mean, f_sigma, fband.lower, fband.upper, rng)
+            truncated_normal(fband.midpoint, f_sigma, fband.lower, fband.upper, rng)
             for _ in range(n)
         ]
         sights = [
-            truncated_normal(v_mean, v_sigma, vband.lower, vband.upper, rng)
+            truncated_normal(vband.midpoint, v_sigma, vband.lower, vband.upper, rng)
             for _ in range(n)
         ]
         records.extend(
             SampleRecord(scenario.scenario_id, mu, sight)
             for mu, sight in zip(mus, sights)
         )
-    return SampleSet(config=config, scenarios=tuple(scenarios), records=tuple(records))
+    return SampleSet(scenarios=tuple(scenarios), records=tuple(records))
 
 
 def scenario_statistics(

@@ -36,6 +36,11 @@ def fhwa_safe_speed(mu: float, grade: float, sight_distance: float) -> float:
         raise ValueError(f"sight distance must be >= 0, got {sight_distance}")
     mg = mu + grade
     v = (-3.67 + math.sqrt(13.47 + 0.12 * sight_distance / mg)) / (0.06 / mg)
+    if not math.isfinite(v):
+        # 0.12 * s / mg overflows for a subnormal mg or a huge s; this
+        # algebraically equal form stays finite there. It can differ by an
+        # ulp on ordinary readings, so it serves only as the fallback.
+        v = (math.sqrt(mg * (13.47 * mg + 0.12 * sight_distance)) - 3.67 * mg) / 0.06
     return max(v, 0.0)
 
 

@@ -36,6 +36,8 @@ BAD_CATALOG_EDITS = {
     "inf_crash_rate": ("visibility,Clear,1640.0,6562.0,0.685", "visibility,Clear,1640.0,6562.0,inf"),
     "short_row": ("friction,Icy,0.05,0.15,9.0\n", "friction,Icy,0.05\n"),
     "long_row": ("friction,Wet,0.4,0.6,3.75\n", "friction,Wet,0.4,0.6,3.75,1\n"),
+    # Past the csv module's 131072-character field limit.
+    "oversized_field": ("friction,Snow,", 'friction,"' + "S" * 131073 + '",'),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hazardrisk import EnvironmentReading, HazardBand, classify, scenario_grid
-from hazardrisk.bands import Dimension, classify_value, load_catalog
+from hazardrisk.bands import Dimension, load_catalog
 
 
 class TestDefaultCatalog:
@@ -118,21 +118,25 @@ class TestClassify:
 
     def test_total_and_unique_over_sweep(self, catalog):
         for mu in np.linspace(1e-6, 1.0, 2000):
-            band = classify_value(mu, catalog.friction_bands)
+            band, _ = classify(EnvironmentReading(mu=mu, sight_distance=1000), catalog)
             assert band in catalog.friction_bands
         for s in np.linspace(0.0, 6562.0, 2000):
-            band = classify_value(s, catalog.sampling_visibility_bands)
+            _, band = classify(EnvironmentReading(mu=0.5, sight_distance=s), catalog)
             assert band in catalog.sampling_visibility_bands
 
     def test_monotone(self, catalog):
         order = {b.label: i for i, b in enumerate(catalog.friction_bands)}
         mus = np.linspace(1e-6, 1.0, 500)
-        indices = [order[classify_value(m, catalog.friction_bands).label] for m in mus]
+        indices = [
+            order[classify(EnvironmentReading(mu=m, sight_distance=1000), catalog)[0].label]
+            for m in mus
+        ]
         assert indices == sorted(indices)
         order = {b.label: i for i, b in enumerate(catalog.sampling_visibility_bands)}
         sights = np.linspace(0.0, 6562.0, 500)
         indices = [
-            order[classify_value(s, catalog.sampling_visibility_bands).label] for s in sights
+            order[classify(EnvironmentReading(mu=0.5, sight_distance=s), catalog)[1].label]
+            for s in sights
         ]
         assert indices == sorted(indices)
 

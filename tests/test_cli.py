@@ -155,6 +155,16 @@ class TestAssess:
         assert main(["assess", "--mu", "0.1", "--sight-ft", "100", "--grade", "nan"]) == 64
         assert "grade must be finite" in capsys.readouterr().err
 
+    def test_extreme_readings_print_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        records = []
+        for mu, sight in [("5e-324", "100"), ("0.05", "1e308")]:
+            assert main(["assess", "--mu", mu, "--sight-ft", sight]) == 0
+            records.append(json.loads(capsys.readouterr().out, parse_constant=reject))
+        assert (records[0]["risk_score"], records[0]["risk_level"]) == (25, "Extreme")
+
     def test_custom_design_speed(self, capsys):
         assert main(["assess", "--mu", "0.8", "--sight-ft", "5000",
                      "--design-speed", "55"]) == 0
@@ -240,6 +250,14 @@ class TestReplay:
         assert main(["replay", "--input", str(src)]) == 65
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(src) in err and "UTF-8" in err
+
+    def test_oversized_field_exits_65(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
+        assert main(["replay", "--input", str(src)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(src) in err and "line 3" in err
+        assert err.count("\n") == 1
 
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66

@@ -1,7 +1,8 @@
 import math
+from dataclasses import astuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hazardrisk import (
@@ -163,7 +164,7 @@ class TestAssess:
 reading_fields = st.fixed_dictionaries(
     {
         "mu": st.floats(min_value=0, max_value=1, exclude_min=True),
-        "sight_distance": st.floats(min_value=0, max_value=1e5),
+        "sight_distance": st.floats(min_value=0, max_value=1e308),
         "grade": st.floats(min_value=-1, max_value=1),
         "design_speed": st.floats(min_value=0, max_value=200, exclude_min=True),
     }
@@ -172,10 +173,14 @@ reading_fields = st.fixed_dictionaries(
 
 class TestAssessProperties:
     @given(fields=reading_fields)
+    # 0.12 * sight / mu overflows in the textbook form of the safe speed.
+    @example(fields={"mu": 5e-324, "sight_distance": 100.0, "grade": 0.0, "design_speed": 75.0})
+    @example(fields={"mu": 0.05, "sight_distance": 1e308, "grade": 0.0, "design_speed": 75.0})
     def test_risk_is_product_and_level_of_score(self, catalog, joint_table, fields):
         result = assess(EnvironmentReading(**fields), catalog, joint_table)
         assert result.risk_score == result.probability_score * result.severity_score
         assert result.risk_level == risk_level(result.risk_score)
+        assert all(map(math.isfinite, astuple(result.speed_profile)))
 
     @given(
         fields=reading_fields,
