@@ -2,7 +2,7 @@
 
 The sha256 of each file written by `hazardrisk simulate --seed 42` (default
 100 samples per scenario, grade 0, design speed 75 mph, built-in catalog),
-and of the CSV that `assess`, `matrix` and `replay` print (further down).
+and of what `assess`, `matrix` and `replay` print (further down).
 Any refactor of the engine, the sampler or the writers must reproduce them.
 """
 
@@ -54,17 +54,23 @@ REPLAY_LOG = (
     "t4,0.55,12345.678,0.005,65.5\n"
 )
 
-# stdout of the other commands that write CSV, on the built-in catalog.
+# stdout of the other commands, on the built-in catalog.
 CLI_ARGV = {
     "assess_csv": ["assess", "--mu", "0.25", "--sight-ft", "582", "--grade", "0.02",
                    "--format", "csv"],
+    "assess_json": ["assess", "--mu", "0.25", "--sight-ft", "582", "--grade", "0.02"],
     "matrix_csv": ["matrix", "--format", "csv"],
+    "matrix_json": ["matrix", "--format", "json"],
+    "matrix_table": ["matrix"],
     "replay_csv": ["replay", "--input", "{log}"],
 }
 
 CLI_GOLDEN_SHA256 = {
     "assess_csv": "d44cee82baa64068ba58b26bc3a487a20d87cf931771ab252203253ce5ebb800",
+    "assess_json": "93bac63c82ea384f96a8cee4b3eaefedfce6fe4edfc49ec80c45fb1de20a43b9",
     "matrix_csv": "f85ad9ed7103dbb9df60cf06a10119a10709e0623c4bc5a53e85857bff8a4be2",
+    "matrix_json": "0024ec5492219475f26c56bc0a3fa5ec18073cf2930c491b580b1fb57a33dca4",
+    "matrix_table": "e3e0c2e5507cd4777509134a73c3dc0b3d257d5c18eb2ab5e4c25087c64302a9",
     "replay_csv": "04bdba25617fc6a4f57b1deb170870bac217a6d9af4a47597fda50e537c0c20b",
 }
 
