@@ -4,8 +4,8 @@ and the scenario grid.
 Two visibility catalogs coexist: the literature bands that carry crash rates
 (used for probability lookup) and the sensor-aligned bands that cover the
 instrument's full 33-6562 ft envelope (used for classifying readings and for
-sampling). The two share band labels, which is how probability scores attach
-to classified readings.
+sampling). The two share band labels and crash rates; the label is how
+probability scores attach to classified readings.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _check_bands(bands: tuple[HazardBand, ...], dimension: Dimension, name: str)
 @dataclass(frozen=True)
 class BandCatalog:
     """Friction bands plus the two visibility band sets, each sorted ascending
-    by lower bound. The two visibility sets carry the same labels; the
-    classification cuts are derived once, at construction."""
+    by lower bound. The two visibility sets carry the same labels and crash
+    rates; the classification cuts are derived once, at construction."""
 
     friction_bands: tuple[HazardBand, ...]
     visibility_bands: tuple[HazardBand, ...]
@@ -122,9 +122,14 @@ class BandCatalog:
                 raise ValueError(
                     f"sampling_visibility_bands: gap between {lo.label!r} and {hi.label!r}"
                 )
-        if {b.label for b in sampling} != {b.label for b in self.visibility_bands}:
+        # Probability reads only the visibility rates: a differing sampling
+        # rate would be a config value with no effect.
+        if {b.label: b.crash_rate for b in sampling} != {
+            b.label: b.crash_rate for b in self.visibility_bands
+        }:
             raise ValueError(
-                "sampling_visibility_bands: labels must match visibility_bands one to one"
+                "sampling_visibility_bands: labels and crash rates must match "
+                "visibility_bands one to one"
             )
         object.__setattr__(self, "_friction_cuts", _band_cuts(self.friction_bands))
         object.__setattr__(self, "_visibility_cuts", _band_cuts(sampling))
@@ -144,8 +149,8 @@ _DEFAULT_VISIBILITY = (
     ("Rain/Snow", 328.0, 656.0, 1.85),
     ("Clear", 1640.0, 6562.0, 0.685),
 )
-# Sensor-aligned bands covering the instrument envelope contiguously;
-# crash rates carried over by label for probability lookup.
+# Sensor-aligned bands covering the instrument envelope contiguously; each
+# repeats the crash rate of the visibility band with its label.
 _DEFAULT_SAMPLING_VISIBILITY = (
     ("Very Dense Fog", 33.0, 164.0, 18.70),
     ("Dense Fog", 164.0, 1000.0, 4.95),

@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from . import __version__
 from .bands import BandCatalog, EnvironmentReading, default_catalog, load_catalog
 from .probability import joint_probability, normalize_marginals
 from .reporting import (
+    ASSESSMENT_COLUMNS,
     HEATMAP_COLUMNS,
     REPLAY_COLUMNS,
     assessment_record,
@@ -125,7 +126,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(assessment_record(assessment), indent=2))
     else:
-        write_rows(sys.stdout, REPLAY_COLUMNS[1:], [assessment_row(assessment)])
+        write_rows(sys.stdout, ASSESSMENT_COLUMNS, [assessment_row(assessment)])
     return EXIT_OK
 
 
@@ -134,16 +135,36 @@ def _scored_rows(reader: csv.DictReader, catalog: BandCatalog, joint, design_spe
     is skipped with a line-numbered warning."""
     for lineno, row in enumerate(reader, start=2):
         try:
+            if None in row or None in row.values():
+                raise ValueError("field count differs from header")
             reading = EnvironmentReading(
                 mu=float(row["mu"]),
                 sight_distance=float(row["sight_ft"]),
                 grade=float(row.get("grade") or 0.0),
                 design_speed=float(row.get("design_speed") or design_speed),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             print(f"warning: line {lineno}: skipped ({exc})", file=sys.stderr)
             continue
-        yield [row["timestamp"]] + assessment_row(assess(reading, catalog, joint))
+        yield (row["timestamp"], *assessment_row(assess(reading, catalog, joint)))
+
+
+@contextmanager
+def _replay_output(path: str | None):
+    """Replay's output stream: stdout, or a temporary file beside `path` that
+    is renamed onto it only once the block completes. On any exception the
+    temporary file is removed, so a file already at `path` keeps its bytes."""
+    if not path:
+        yield sys.stdout
+        return
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -174,11 +195,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 print("error: no valid rows in input", file=sys.stderr)
                 return EXIT_NODATA
             try:
-                with (
-                    open(args.out, "w", newline="", encoding="utf-8")
-                    if args.out
-                    else nullcontext(sys.stdout)
-                ) as out:
+                with _replay_output(args.out) as out:
                     write_rows(out, REPLAY_COLUMNS, chain([first], rows))
             except OSError as exc:
                 print(f"error: cannot write output: {exc}", file=sys.stderr)

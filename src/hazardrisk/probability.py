@@ -21,9 +21,6 @@ class MarginalDistribution:
     dimension: Dimension
     probs: tuple[tuple[str, float], ...]
 
-    def __getitem__(self, label: str) -> float:
-        return dict(self.probs)[label]
-
 
 @dataclass(frozen=True)
 class JointEntry:

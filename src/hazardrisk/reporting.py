@@ -8,37 +8,66 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .bands import BandCatalog, Dimension, HazardBand
-from .probability import JointProbabilityTable, MarginalDistribution
+from .bands import BandCatalog
+from .probability import JointEntry, JointProbabilityTable, MarginalDistribution
 from .risk import Assessment, risk_matrix
 from .sampler import ScenarioStats
 
-SAMPLES_COLUMNS = [
-    "scenario_id",
-    "friction_label",
-    "visibility_label",
-    "mu",
-    "sight_ft",
-    "joint_prob",
-    "prob_score",
-    "v_fhwa_mph",
-    "v_scaled_mph",
-    "v_advisory_mph",
-    "reduction_pct",
-    "severity_score",
-    "risk_score",
-    "risk_level",
-]
+# Each table is declared once, as output name -> dotted attribute of the
+# record it reads, in output order; the header and the row getter both come
+# from that one map.
+ASSESSMENT_FIELDS = {
+    "friction_label": "friction_label",
+    "visibility_label": "visibility_label",
+    "mu": "reading.mu",
+    "sight_ft": "reading.sight_distance",
+    "grade": "reading.grade",
+    "design_speed_mph": "reading.design_speed",
+    "joint_prob": "joint_probability",
+    "prob_score": "probability_score",
+    "v_fhwa_mph": "speed_profile.v_fhwa",
+    "v_scaled_mph": "speed_profile.v_scaled",
+    "v_advisory_mph": "speed_profile.v_advisory",
+    "reduction_pct": "speed_profile.reduction_pct",
+    "severity_score": "severity_score",
+    "risk_score": "risk_score",
+    "risk_level": "risk_level.value",
+}
 
-REPLAY_COLUMNS = ["timestamp"] + SAMPLES_COLUMNS[1:]
+# The CSV tables leave out the reading's grade and design speed, which the
+# JSON record of `assess` carries.
+ASSESSMENT_COLUMNS = [n for n in ASSESSMENT_FIELDS if n not in ("grade", "design_speed_mph")]
+SAMPLES_COLUMNS = ["scenario_id", *ASSESSMENT_COLUMNS]
+REPLAY_COLUMNS = ["timestamp", *ASSESSMENT_COLUMNS]
+
+assessment_row = attrgetter(*(ASSESSMENT_FIELDS[n] for n in ASSESSMENT_COLUMNS))
+_assessment_values = attrgetter(*ASSESSMENT_FIELDS.values())
+
+SCENARIO_STATS_FIELDS = {
+    "scenario_id": "scenario.scenario_id",
+    "friction_label": "scenario.friction_band.label",
+    "visibility_label": "scenario.visibility_band.label",
+    "practicality": "scenario.practicality",
+    "mean_risk": "mean",
+    "std_risk": "std",
+    "lower_3sigma": "lower_3sigma",
+    "upper_3sigma": "upper_3sigma",
+    "min_risk": "min",
+    "max_risk": "max",
+}
+
+# A joint entry's field names are its CSV header.
+JOINT_COLUMNS = [f.name for f in fields(JointEntry)]
 
 HEATMAP_COLUMNS = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
 
 
-def write_rows(stream: TextIO, header: list[str], rows: Iterable[list]) -> int:
+def write_rows(stream: TextIO, header: list[str], rows: Iterable) -> int:
     """Write a header and rows as LF-terminated CSV to an open text stream,
     floats at 6 significant digits; returns the number of data rows."""
     writer = csv.writer(stream, lineterminator="\n")
@@ -50,79 +79,27 @@ def write_rows(stream: TextIO, header: list[str], rows: Iterable[list]) -> int:
     return count
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> int:
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         return write_rows(fh, header, rows)
 
 
-def assessment_row(assessment: Assessment) -> list:
-    p = assessment.speed_profile
-    return [
-        assessment.friction_label,
-        assessment.visibility_label,
-        assessment.reading.mu,
-        assessment.reading.sight_distance,
-        assessment.joint_probability,
-        assessment.probability_score,
-        p.v_fhwa,
-        p.v_scaled,
-        p.v_advisory,
-        p.reduction_pct,
-        assessment.severity_score,
-        assessment.risk_score,
-        assessment.risk_level.value,
-    ]
-
-
 def assessment_record(assessment: Assessment) -> dict:
-    """JSON-friendly view of one assessment: the row's fields, with the
-    reading's grade and design speed after its sight distance."""
-    names, values = REPLAY_COLUMNS[1:], assessment_row(assessment)
-    return {
-        **dict(zip(names[:4], values[:4])),
-        "grade": assessment.reading.grade,
-        "design_speed_mph": assessment.reading.design_speed,
-        **dict(zip(names[4:], values[4:])),
-    }
+    """JSON-friendly view of one assessment: every field of ASSESSMENT_FIELDS."""
+    return dict(zip(ASSESSMENT_FIELDS, _assessment_values(assessment)))
 
 
 def write_samples(path: Path, rows: Iterable[tuple[int, Assessment]]) -> int:
     return _write_csv(
         path,
         SAMPLES_COLUMNS,
-        ([scenario_id] + assessment_row(a) for scenario_id, a in rows),
+        ((scenario_id, *assessment_row(a)) for scenario_id, a in rows),
     )
 
 
 def write_scenario_stats(path: Path, stats: list[ScenarioStats]) -> int:
-    header = [
-        "scenario_id",
-        "friction_label",
-        "visibility_label",
-        "practicality",
-        "mean_risk",
-        "std_risk",
-        "lower_3sigma",
-        "upper_3sigma",
-        "min_risk",
-        "max_risk",
-    ]
-    rows = (
-        [
-            s.scenario.scenario_id,
-            s.scenario.friction_band.label,
-            s.scenario.visibility_band.label,
-            s.scenario.practicality,
-            s.mean,
-            s.std,
-            s.lower_3sigma,
-            s.upper_3sigma,
-            s.min,
-            s.max,
-        ]
-        for s in stats
-    )
-    return _write_csv(path, header, rows)
+    values = attrgetter(*SCENARIO_STATS_FIELDS.values())
+    return _write_csv(path, list(SCENARIO_STATS_FIELDS), map(values, stats))
 
 
 def heatmap_rows() -> list[list[int]]:
@@ -150,18 +127,7 @@ def write_marginals(
 
 
 def write_joint(path: Path, table: JointProbabilityTable) -> int:
-    header = [
-        "friction_label",
-        "visibility_label",
-        "raw_joint",
-        "normalized_joint",
-        "probability_score",
-    ]
-    rows = (
-        [e.friction_label, e.visibility_label, e.raw_joint, e.normalized_joint, e.probability_score]
-        for e in table.entries
-    )
-    return _write_csv(path, header, rows)
+    return _write_csv(path, JOINT_COLUMNS, map(attrgetter(*JOINT_COLUMNS), table.entries))
 
 
 def write_manifest(

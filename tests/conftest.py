@@ -31,6 +31,10 @@ def default_rates_csv(catalog):
 # Single-line edits of default_rates_csv that load_catalog must reject.
 BAD_CATALOG_EDITS = {
     "sampling_label_not_in_visibility": ("sampling_visibility,Clear,", "sampling_visibility,Sunny,"),
+    "sampling_rate_differs": (
+        "sampling_visibility,Clear,4000.0,6500.0,0.685",
+        "sampling_visibility,Clear,4000.0,6500.0,0.7",
+    ),
     "duplicate_friction_label": ("friction,Snow,", "friction,Icy,"),
     "nan_crash_rate": ("friction,Dry,0.7,0.9,1.9", "friction,Dry,0.7,0.9,nan"),
     "inf_crash_rate": ("visibility,Clear,1640.0,6562.0,0.685", "visibility,Clear,1640.0,6562.0,inf"),

@@ -259,6 +259,29 @@ class TestReplay:
         assert err.startswith("error: ") and str(src) in err and "line 3" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("log", [
+        "mu,sight_ft,timestamp\n0.8,5000,t0\n0.5,100\n",
+        "timestamp,mu,sight_ft\nt0,0.8,5000\nt1,0.5,100,EXTRA\n",
+    ], ids=["short_row", "long_row"])
+    def test_row_with_other_field_count_skipped(self, tmp_path, capsys, log):
+        src = tmp_path / "readings.csv"
+        src.write_text(log)
+        assert main(["replay", "--input", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err == "warning: line 3: skipped (field count differs from header)\n"
+
+    def test_failed_log_leaves_out_path_as_it_was(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
+        out = tmp_path / "assessed.csv"
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 65
+        assert list(tmp_path.iterdir()) == [src]
+        out.write_bytes(b"earlier result\n")
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 65
+        assert out.read_bytes() == b"earlier result\n"
+        assert sorted(tmp_path.iterdir()) == [out, src]
+
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66
 

@@ -48,13 +48,13 @@ def _bands(dimension, rates):
 
 class TestNormalizeMarginals:
     def test_friction_matches_published_values(self, catalog):
-        dist = normalize_marginals(list(catalog.friction_bands))
+        dist = dict(normalize_marginals(list(catalog.friction_bands)).probs)
         expected = {"Dry": 0.0943, "Wet": 0.1862, "Snow": 0.2730, "Icy": 0.4466}
         for label, value in expected.items():
             assert dist[label] == pytest.approx(value, abs=5e-4)
 
     def test_visibility_matches_published_values(self, catalog):
-        dist = normalize_marginals(list(catalog.visibility_bands))
+        dist = dict(normalize_marginals(list(catalog.visibility_bands)).probs)
         expected = {
             "Clear": 0.0262,
             "Rain/Snow": 0.0706,
