@@ -14,6 +14,7 @@ import sys
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
+from stat import S_IMODE, S_ISREG
 
 from . import __version__
 from .bands import BandCatalog, EnvironmentReading, default_catalog, load_catalog
@@ -151,19 +152,30 @@ def _scored_rows(reader: csv.DictReader, catalog: BandCatalog, joint, design_spe
 
 @contextmanager
 def _replay_output(path: str | None):
-    """Replay's output stream: stdout, or a temporary file beside `path` that
-    is renamed onto it only once the block completes. On any exception the
-    temporary file is removed, so a file already at `path` keeps its bytes."""
+    """Replay's output stream: stdout; else a temporary file beside `path`,
+    renamed onto it with the old file's mode only once the block completes and
+    removed on any exception, so a file at `path` keeps its bytes. A path that
+    a rename would change in more than its bytes (a device, FIFO or symlink, a
+    file with other links or another owner, or one in a read-only directory)
+    is written through instead."""
     if not path:
         yield sys.stdout
         return
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    old = os.lstat(path) if os.path.lexists(path) else None
+    whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
+        old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
+    )
+    target = Path(f"{path}.{os.getpid()}.tmp" if whole else path)
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as out:
+        with open(target, "w", newline="", encoding="utf-8") as out:
             yield out
-        os.replace(tmp, path)
+        if whole:
+            if old:
+                os.chmod(target, S_IMODE(old.st_mode))
+            os.replace(target, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if whole:
+            target.unlink(missing_ok=True)
         raise
 
 

@@ -18,9 +18,9 @@ from .probability import JointEntry, JointProbabilityTable, MarginalDistribution
 from .risk import Assessment, risk_matrix
 from .sampler import ScenarioStats
 
-# Each table is declared once, as output name -> dotted attribute of the
-# record it reads, in output order; the header and the row getter both come
-# from that one map.
+# The assessment and scenario-stats tables are each declared once, as output
+# name -> dotted attribute of the record it reads, in output order; the header
+# and the row getter both come from that one map.
 ASSESSMENT_FIELDS = {
     "friction_label": "friction_label",
     "visibility_label": "visibility_label",

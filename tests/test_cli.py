@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -281,6 +284,59 @@ class TestReplay:
         assert main(["replay", "--input", str(src), "--out", str(out)]) == 65
         assert out.read_bytes() == b"earlier result\n"
         assert sorted(tmp_path.iterdir()) == [out, src]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_fifo_is_written_through(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["replay", "--input", str(src), "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got and got[0].splitlines()[1].startswith("t0,Dry,Clear,")
+        assert sorted(tmp_path.iterdir()) == [fifo, src]
+
+    def test_out_symlink_is_written_through(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        target = tmp_path / "target.csv"
+        target.write_text("earlier result\n")
+        link = tmp_path / "assessed.csv"
+        link.symlink_to(target)
+        assert main(["replay", "--input", str(src), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert [r["timestamp"] for r in read_csv(target)] == ["t0"]
+
+    def test_out_file_keeps_its_mode(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        out = tmp_path / "assessed.csv"
+        out.write_text("earlier result\n")
+        out.chmod(0o600)
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert [r["timestamp"] for r in read_csv(out)] == ["t0"]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write any directory"
+    )
+    def test_out_in_read_only_directory_is_written_through(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        out_dir = tmp_path / "ro"
+        out_dir.mkdir()
+        out = out_dir / "assessed.csv"
+        out.write_text("earlier result\n")
+        out_dir.chmod(0o555)
+        try:
+            assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
+            assert [r["timestamp"] for r in read_csv(out)] == ["t0"]
+        finally:
+            out_dir.chmod(0o755)
 
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66
