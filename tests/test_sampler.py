@@ -1,7 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazardrisk import (
     EnvironmentReading,
@@ -84,6 +88,28 @@ class TestGenerateDataset:
         for sigma_rule in (0, 1e-9, 0.0099, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="sigma_rule"):
                 SamplerConfig(sigma_rule=sigma_rule)
+
+
+def _load_reference():
+    # bench/reference.py restates the paper without importing hazardrisk.
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), n=st.integers(min_value=1, max_value=50))
+def test_dataset_matches_reference_sampler_bit_for_bit(catalog, seed, n):
+    samples = generate_dataset(SamplerConfig(seed=seed, samples_per_scenario=n), catalog)
+    ids, mus, sights = reference.sample(seed, n)
+    assert [r.scenario_id for r in samples.records] == ids.tolist()
+    assert np.array([r.mu for r in samples.records]).tobytes() == mus.tobytes()
+    assert np.array([r.sight_ft for r in samples.records]).tobytes() == sights.tobytes()
 
 
 def _assessed_scores(samples, catalog, joint_table):
