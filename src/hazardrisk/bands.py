@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 
 class Dimension(str, Enum):
     FRICTION = "friction"
@@ -75,6 +77,15 @@ class EnvironmentReading:
             raise ValueError(f"design_speed must be > 0, got {self.design_speed}")
 
 
+def valid_readings(mu, sight_distance, grade, design_speed) -> np.ndarray:
+    """EnvironmentReading's domain over arrays: True where a reading is valid.
+    A rejected row goes through EnvironmentReading for its message."""
+    finite = np.isfinite(sight_distance) & np.isfinite(grade) & np.isfinite(design_speed)
+    with np.errstate(all="ignore"):
+        return finite & (0 < mu) & (mu <= 1) & (sight_distance >= 0) & (mu + grade > 0) & (
+            design_speed > 0)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One friction-band x visibility-band pairing of the scenario grid."""
@@ -109,30 +120,31 @@ class BandCatalog:
     sampling_visibility_bands: tuple[HazardBand, ...]
     _friction_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _visibility_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Friction and sensor-visibility labels in band order: a grid's layout.
+    _labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_bands(self.friction_bands, Dimension.FRICTION, "friction_bands")
         _check_bands(self.visibility_bands, Dimension.VISIBILITY, "visibility_bands")
-        _check_bands(
-            self.sampling_visibility_bands, Dimension.VISIBILITY, "sampling_visibility_bands"
-        )
         sampling = self.sampling_visibility_bands
+        _check_bands(sampling, Dimension.VISIBILITY, "sampling_visibility_bands")
         for lo, hi in zip(sampling, sampling[1:]):
             if hi.lower != lo.upper:
-                raise ValueError(
-                    f"sampling_visibility_bands: gap between {lo.label!r} and {hi.label!r}"
-                )
+                raise ValueError(f"sampling_visibility_bands: gap between {lo.label!r} and {hi.label!r}")
         # Probability reads only the visibility rates: a differing sampling
         # rate would be a config value with no effect.
         if {b.label: b.crash_rate for b in sampling} != {
-            b.label: b.crash_rate for b in self.visibility_bands
-        }:
-            raise ValueError(
-                "sampling_visibility_bands: labels and crash rates must match "
-                "visibility_bands one to one"
-            )
+                b.label: b.crash_rate for b in self.visibility_bands}:
+            raise ValueError("sampling_visibility_bands: labels and crash rates must match "
+                             "visibility_bands one to one")
         object.__setattr__(self, "_friction_cuts", _band_cuts(self.friction_bands))
         object.__setattr__(self, "_visibility_cuts", _band_cuts(sampling))
+        labels = tuple(tuple(b.label for b in bands) for bands in (self.friction_bands, sampling))
+        object.__setattr__(self, "_labels", labels)
+
+    def index(self, mu: float, sight: float) -> tuple[int, int]:
+        """Indexes of a reading's friction band and sensor-visibility band."""
+        return bisect_right(self._friction_cuts, mu), bisect_right(self._visibility_cuts, sight)
 
 
 # Crash rates: friction by surface condition, visibility by range band
@@ -180,21 +192,18 @@ _PRACTICALITY = {
 }
 
 
-def _make_bands(rows, dimension: Dimension) -> tuple[HazardBand, ...]:
-    return tuple(
-        HazardBand(dimension, label, lower, upper, rate) for label, lower, upper, rate in rows
-    )
+def _make_catalog(friction, visibility, sampling_visibility) -> BandCatalog:
+    """A catalog from (label, lower, upper, crash rate) rows of each band set."""
+    return BandCatalog(*(
+        tuple(HazardBand(dimension, *row) for row in rows)
+        for rows, dimension in [(friction, Dimension.FRICTION), (visibility, Dimension.VISIBILITY),
+                                (sampling_visibility, Dimension.VISIBILITY)]
+    ))
 
 
 def default_catalog() -> BandCatalog:
     """Built-in band catalog with the default crash rates."""
-    return BandCatalog(
-        friction_bands=_make_bands(_DEFAULT_FRICTION, Dimension.FRICTION),
-        visibility_bands=_make_bands(_DEFAULT_VISIBILITY, Dimension.VISIBILITY),
-        sampling_visibility_bands=_make_bands(
-            _DEFAULT_SAMPLING_VISIBILITY, Dimension.VISIBILITY
-        ),
-    )
+    return _make_catalog(_DEFAULT_FRICTION, _DEFAULT_VISIBILITY, _DEFAULT_SAMPLING_VISIBILITY)
 
 
 def load_catalog(path: str | Path) -> BandCatalog:
@@ -205,41 +214,38 @@ def load_catalog(path: str | Path) -> BandCatalog:
     """
     groups: dict[str, list] = {"friction": [], "visibility": [], "sampling_visibility": []}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            fieldnames, records = reader.fieldnames, list(reader)
+            header, records = next(reader, None), list(numbered_records(reader))
         except csv.Error as exc:
-            raise ValueError(
-                f"crash-rate config {path} line {reader.reader.line_num}: {exc}"
-            ) from exc
+            raise ValueError(f"crash-rate config {path} line {reader.line_num}: {exc}") from exc
     required = {"dimension", "label", "lower", "upper", "crash_rate"}
-    if fieldnames is None or not required.issubset(fieldnames):
+    if header is None or not required.issubset(header):
         raise ValueError(f"crash-rate config {path}: header must contain {sorted(required)}")
-    for lineno, row in enumerate(records, start=2):
-        if None in row or None in row.values():
+    for lineno, values in records:
+        if len(values) != len(header):
             raise ValueError(f"crash-rate config {path} line {lineno}: field count differs from header")
+        row = dict(zip(header, values))
         dim = row["dimension"].strip().lower()
         if dim not in groups:
             raise ValueError(f"crash-rate config {path} line {lineno}: unknown dimension {dim!r}")
-        groups[dim].append(
-            (
-                row["label"].strip(),
-                float(row["lower"]),
-                float(row["upper"]),
-                float(row["crash_rate"]),
-            )
-        )
+        bounds_and_rate = (float(row[name]) for name in ("lower", "upper", "crash_rate"))
+        groups[dim].append((row["label"].strip(), *bounds_and_rate))
     for dim, rows in groups.items():
         if not rows:
             raise ValueError(f"crash-rate config {path}: no {dim} bands defined")
         rows.sort(key=lambda r: r[1])
-    return BandCatalog(
-        friction_bands=_make_bands(groups["friction"], Dimension.FRICTION),
-        visibility_bands=_make_bands(groups["visibility"], Dimension.VISIBILITY),
-        sampling_visibility_bands=_make_bands(
-            groups["sampling_visibility"], Dimension.VISIBILITY
-        ),
-    )
+    return _make_catalog(*groups.values())
+
+
+def numbered_records(reader):
+    """(line, fields) for each non-blank record of a csv.reader, where line is
+    the physical line the record starts on (a quoted field may span lines)."""
+    end = reader.line_num
+    for fields in reader:
+        start, end = end + 1, reader.line_num
+        if fields:
+            yield start, fields
 
 
 def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:
@@ -248,27 +254,17 @@ def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:
     return tuple((lo.upper + hi.lower) / 2.0 for lo, hi in zip(bands, bands[1:]))
 
 
-def classify(
-    reading: EnvironmentReading, catalog: BandCatalog
-) -> tuple[HazardBand, HazardBand]:
+def classify(reading: EnvironmentReading, catalog: BandCatalog) -> tuple[HazardBand, HazardBand]:
     """Classify a reading into its friction band and its (sensor-aligned)
     visibility band."""
-    return (
-        catalog.friction_bands[bisect_right(catalog._friction_cuts, reading.mu)],
-        catalog.sampling_visibility_bands[
-            bisect_right(catalog._visibility_cuts, reading.sight_distance)
-        ],
-    )
+    f, v = catalog.index(reading.mu, reading.sight_distance)
+    return catalog.friction_bands[f], catalog.sampling_visibility_bands[v]
 
 
 def scenario_grid(catalog: BandCatalog) -> list[Scenario]:
     """Every friction x visibility scenario of the catalog in presentation
     order (friction-major, best conditions first)."""
-    scenarios = []
-    sid = 1
-    for fband in reversed(catalog.friction_bands):
-        for vband in reversed(catalog.visibility_bands):
-            practicality = _PRACTICALITY.get((fband.label, vband.label), "")
-            scenarios.append(Scenario(sid, fband, vband, practicality))
-            sid += 1
-    return scenarios
+    pairs = [(f, v) for f in reversed(catalog.friction_bands)
+             for v in reversed(catalog.visibility_bands)]
+    return [Scenario(sid, f, v, _PRACTICALITY.get((f.label, v.label), ""))
+            for sid, (f, v) in enumerate(pairs, start=1)]

@@ -9,32 +9,25 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
+import numpy as np
+
 from . import __version__
-from .bands import BandCatalog, EnvironmentReading, default_catalog, load_catalog
+from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catalog,
+                    numbered_records, valid_readings)
 from .probability import joint_probability, normalize_marginals
-from .reporting import (
-    ASSESSMENT_COLUMNS,
-    HEATMAP_COLUMNS,
-    REPLAY_COLUMNS,
-    assessment_record,
-    assessment_row,
-    heatmap_rows,
-    write_heatmap,
-    write_joint,
-    write_manifest,
-    write_marginals,
-    write_rows,
-    write_samples,
-    write_scenario_stats,
-)
-from .risk import assess, risk_matrix
+from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, assessment_record,
+                        heatmap_rows, write_assessed, write_heatmap, write_joint, write_manifest,
+                        write_marginals, write_rows, write_samples, write_scenario_stats)
+from .risk import assess, assess_columns, risk_matrix
 from .sampler import SamplerConfig, generate_dataset, scenario_statistics
 
 EXIT_OK = 0
@@ -44,6 +37,9 @@ EXIT_NODATA = 65
 EXIT_NOINPUT = 66
 
 CONFIG_ENV_VAR = "HAZARD_RISK_CONFIG"
+
+# Readings scored and written per block: memory does not grow with the input.
+BLOCK_ROWS = 1 << 11
 
 
 def _resolve_catalog(config_path: str | None) -> tuple[BandCatalog, str]:
@@ -62,42 +58,36 @@ def _build_joint(catalog: BandCatalog):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     catalog, table_source = _resolve_catalog(args.config)
-    config = SamplerConfig(
-        seed=args.seed,
-        samples_per_scenario=args.samples,
-        sigma_rule=args.sigma_rule,
-    )
+    config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
     p_f, p_v, joint = _build_joint(catalog)
     samples = generate_dataset(config, catalog)
-    assessed = []
-    for record in samples.records:
-        reading = EnvironmentReading(
-            mu=record.mu,
-            sight_distance=record.sight_ft,
-            grade=args.grade,
-            design_speed=args.design_speed,
-        )
-        assessed.append((record.scenario_id, assess(reading, catalog, joint)))
-    stats = scenario_statistics(samples, [a.risk_score for _, a in assessed])
+    records, grade, design = samples.records, args.grade, args.design_speed
+    # The first sample outside the domain raises, with the reading's message.
+    for i in np.flatnonzero(~valid_readings(records.mu, records.sight_ft, grade, design)):
+        EnvironmentReading(float(records.mu[i]), float(records.sight_ft[i]), grade, design)
+    risk_scores = []
+
+    def scored_blocks():
+        for start in range(0, len(records), BLOCK_ROWS):
+            block = records[start:start + BLOCK_ROWS]
+            columns = assess_columns(block.mu, block.sight_ft, grade, design, catalog, joint)
+            risk_scores.append(columns["risk_score"])
+            yield block.scenario_id, columns
 
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        samples_rows = write_samples(out_dir / "samples.csv", scored_blocks())
+        stats = scenario_statistics(samples, np.concatenate(risk_scores))
         outputs = {
-            "samples.csv": write_samples(out_dir / "samples.csv", assessed),
-            "scenario_stats.csv": write_scenario_stats(
-                out_dir / "scenario_stats.csv", stats
-            ),
+            "samples.csv": samples_rows,
+            "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv", stats),
             "heatmap.csv": write_heatmap(out_dir / "heatmap.csv"),
-            "marginals.csv": write_marginals(
-                out_dir / "marginals.csv", catalog, p_f, p_v
-            ),
+            "marginals.csv": write_marginals(out_dir / "marginals.csv", catalog, p_f, p_v),
             "joint.csv": write_joint(out_dir / "joint.csv", joint),
         }
         write_manifest(
-            out_dir / "manifest.json",
-            command="simulate",
-            version=__version__,
+            out_dir / "manifest.json", "simulate", __version__,
             config={
                 "seed": config.seed,
                 "samples_per_scenario": config.samples_per_scenario,
@@ -116,38 +106,45 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_assess(args: argparse.Namespace) -> int:
     catalog, _ = _resolve_catalog(args.config)
-    reading = EnvironmentReading(
-        mu=args.mu,
-        sight_distance=args.sight_ft,
-        grade=args.grade,
-        design_speed=args.design_speed,
-    )
+    reading = EnvironmentReading(args.mu, args.sight_ft, args.grade, args.design_speed)
     _, _, joint = _build_joint(catalog)
-    assessment = assess(reading, catalog, joint)
+    record = assessment_record(assess(reading, catalog, joint))
     if args.format == "json":
-        print(json.dumps(assessment_record(assessment), indent=2))
+        print(json.dumps(record, indent=2))
     else:
-        write_rows(sys.stdout, ASSESSMENT_COLUMNS, [assessment_row(assessment)])
+        write_rows(sys.stdout, ASSESSMENT_COLUMNS, [[record[n] for n in ASSESSMENT_COLUMNS]])
     return EXIT_OK
 
 
-def _scored_rows(reader: csv.DictReader, catalog: BandCatalog, joint, design_speed: float):
-    """Replay output rows for the valid readings of a log; each invalid row
-    is skipped with a line-numbered warning."""
-    for lineno, row in enumerate(reader, start=2):
+def _to_float(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan  # outside the domain: the row is then parsed alone for its message
+
+
+def _valid_columns(block, header: list[str], design_speed: float) -> list[np.ndarray]:
+    """(timestamp, mu, sight, grade, design speed) of the valid readings in a
+    block of numbered log records. Rows whose field count differs from the
+    header are skipped first; then each row the domain mask rejects is parsed
+    and checked alone, for its message. Warnings go out in line order."""
+    rows = [(line, row) for line, row in block if len(row) == len(header)]
+    warnings = [(line, "field count differs from header")
+                for line, row in block if len(row) != len(header)]
+    fields = dict(zip(header, zip(*(row for _, row in rows))))
+    # An empty grade or design_speed cell, or no such column, takes the default.
+    defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
+    texts = [(fields.get(name, [d] * len(rows)), d) for name, d in defaults.items()]
+    values = [np.array([_to_float(t or d) for t in column], dtype=float) for column, d in texts]
+    ok = valid_readings(*values)
+    for i in np.flatnonzero(~ok):
         try:
-            if None in row or None in row.values():
-                raise ValueError("field count differs from header")
-            reading = EnvironmentReading(
-                mu=float(row["mu"]),
-                sight_distance=float(row["sight_ft"]),
-                grade=float(row.get("grade") or 0.0),
-                design_speed=float(row.get("design_speed") or design_speed),
-            )
+            EnvironmentReading(*(float(column[i] or d) for column, d in texts))
         except ValueError as exc:
-            print(f"warning: line {lineno}: skipped ({exc})", file=sys.stderr)
-            continue
-        yield (row["timestamp"], *assessment_row(assess(reading, catalog, joint)))
+            warnings.append((rows[i][0], exc))
+    for line, reason in sorted(warnings, key=itemgetter(0)):
+        print(f"warning: line {line}: skipped ({reason})", file=sys.stderr)
+    return [np.array(fields.get("timestamp", ()), dtype=object)[ok], *(v[ok] for v in values)]
 
 
 @contextmanager
@@ -192,23 +189,24 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     try:
         with open(input_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"timestamp", "mu", "sight_ft"}.issubset(
-                reader.fieldnames
-            ):
-                print(
-                    "error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
-                    file=sys.stderr,
-                )
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or not {"timestamp", "mu", "sight_ft"}.issubset(header):
+                print("error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
+                      file=sys.stderr)
                 return EXIT_NODATA
-            rows = _scored_rows(reader, catalog, joint, args.design_speed)
-            first = next(rows, None)
+            records = numbered_records(reader)
+            blocks = iter(lambda: list(islice(records, BLOCK_ROWS)), [])
+            valid = (_valid_columns(block, header, args.design_speed) for block in blocks)
+            scored = ((stamps, assess_columns(*readings, catalog, joint))
+                      for stamps, *readings in valid if len(stamps))
+            first = next(scored, None)
             if first is None:
                 print("error: no valid rows in input", file=sys.stderr)
                 return EXIT_NODATA
             try:
                 with _replay_output(args.out) as out:
-                    write_rows(out, REPLAY_COLUMNS, chain([first], rows))
+                    write_assessed(out, REPLAY_COLUMNS, chain([first], scored))
             except OSError as exc:
                 print(f"error: cannot write output: {exc}", file=sys.stderr)
                 return EXIT_IO
@@ -216,10 +214,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {input_path} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_NODATA
     except csv.Error as exc:
-        print(
-            f"error: {input_path} is not readable CSV at line {reader.reader.line_num}: {exc}",
-            file=sys.stderr,
-        )
+        print(f"error: {input_path} is not readable CSV at line {reader.line_num}: {exc}",
+              file=sys.stderr)
         return EXIT_NODATA
     return EXIT_OK
 
@@ -229,16 +225,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "csv":
         write_rows(sys.stdout, HEATMAP_COLUMNS, heatmap_rows())
     elif args.format == "json":
-        cells = [
-            {
-                "probability_score": p + 1,
-                "severity_score": s + 1,
-                "risk_score": matrix[s][p][0],
-                "risk_level": matrix[s][p][1].value,
-            }
-            for s in range(5)
-            for p in range(5)
-        ]
+        names = ("probability_score", "severity_score", "risk_score", "risk_level")
+        cells = [dict(zip(names, (p + 1, s + 1, matrix[s][p][0], matrix[s][p][1].value)))
+                 for s in range(5) for p in range(5)]
         print(json.dumps(cells, indent=2))
     else:
         print("severity \\ probability" + "".join(f"{p:>18}" for p in range(1, 6)))
@@ -250,17 +239,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hazardrisk",
-        description="Compound roadway-hazard risk scoring and scenario simulation",
-    )
+        prog="hazardrisk", description="Compound roadway-hazard risk scoring and scenario simulation")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser(
-        "simulate",
-        help="run the Monte Carlo case study over the catalog's scenario grid "
-        "(16 with the built-in catalog)",
-    )
+    p_sim = sub.add_parser("simulate", help="run the Monte Carlo case study over the catalog's "
+                           "scenario grid (16 with the built-in catalog)")
     p_sim.add_argument("--seed", type=int, default=42)
     p_sim.add_argument("--samples", type=int, default=100, help="samples per scenario")
     p_sim.add_argument("--sigma-rule", type=float, default=6.0)

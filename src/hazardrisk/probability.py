@@ -6,7 +6,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .bands import Dimension, HazardBand
+from .bands import BandCatalog, Dimension, HazardBand
 
 # Upper edges of probability scores 1-4 on the normalized joint probability.
 # Intervals are left-open/right-closed except the lowest, which is closed
@@ -38,13 +38,27 @@ class JointProbabilityTable:
 
     entries: tuple[JointEntry, ...]
     _by_labels: dict[tuple[str, str], JointEntry] = field(init=False, repr=False, compare=False)
+    _grids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_labels = {(e.friction_label, e.visibility_label): e for e in self.entries}
         object.__setattr__(self, "_by_labels", by_labels)
+        object.__setattr__(self, "_grids", {})
 
     def lookup(self, friction_label: str, visibility_label: str) -> JointEntry:
         return self._by_labels[(friction_label, visibility_label)]
+
+    def grid(self, catalog: BandCatalog) -> tuple[tuple[tuple[float, int], ...], ...]:
+        """(normalized joint, probability score) of every scenario, indexed
+        [friction band][sensor-visibility band] as catalog.index numbers
+        them; built once per catalog layout, so scoring joins no labels."""
+        grid = self._grids.get(catalog._labels)
+        if grid is None:
+            f_labels, v_labels = catalog._labels
+            cells = ((self.lookup(f, v) for v in v_labels) for f in f_labels)
+            grid = tuple(tuple((e.normalized_joint, e.probability_score) for e in row) for row in cells)
+            self._grids[catalog._labels] = grid
+        return grid
 
 
 def normalize_marginals(bands: list[HazardBand]) -> MarginalDistribution:
@@ -60,9 +74,7 @@ def normalize_marginals(bands: list[HazardBand]) -> MarginalDistribution:
     return MarginalDistribution(dimension=dimensions.pop(), probs=probs)
 
 
-def joint_probability(
-    p_f: MarginalDistribution, p_v: MarginalDistribution
-) -> JointProbabilityTable:
+def joint_probability(p_f: MarginalDistribution, p_v: MarginalDistribution) -> JointProbabilityTable:
     """Joint probability table under independence of friction and visibility.
 
     Raw products are renormalized over all pairs; an identity when both
@@ -74,12 +86,9 @@ def joint_probability(
         raise ValueError("expected a friction marginal and a visibility marginal")
     pairs = [(fl, vl, pf * pv) for fl, pf in p_f.probs for vl, pv in p_v.probs]
     total = sum(raw for _, _, raw in pairs)
-    return JointProbabilityTable(
-        entries=tuple(
-            JointEntry(fl, vl, raw, raw / total, score_probability(raw / total))
-            for fl, vl, raw in pairs
-        )
-    )
+    return JointProbabilityTable(tuple(
+        JointEntry(fl, vl, raw, raw / total, score_probability(raw / total)) for fl, vl, raw in pairs
+    ))
 
 
 def score_probability(p: float) -> int:

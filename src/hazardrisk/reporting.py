@@ -7,11 +7,14 @@ are written with 6 significant digits so repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from .bands import BandCatalog
 from .probability import JointEntry, JointProbabilityTable, MarginalDistribution
@@ -20,7 +23,8 @@ from .sampler import ScenarioStats
 
 # The assessment and scenario-stats tables are each declared once, as output
 # name -> dotted attribute of the record it reads, in output order; the header
-# and the row getter both come from that one map.
+# and the row getter both come from that one map. The samples and replay
+# tables read the same paths as columns of assess_columns.
 ASSESSMENT_FIELDS = {
     "friction_label": "friction_label",
     "visibility_label": "visibility_label",
@@ -45,7 +49,6 @@ ASSESSMENT_COLUMNS = [n for n in ASSESSMENT_FIELDS if n not in ("grade", "design
 SAMPLES_COLUMNS = ["scenario_id", *ASSESSMENT_COLUMNS]
 REPLAY_COLUMNS = ["timestamp", *ASSESSMENT_COLUMNS]
 
-assessment_row = attrgetter(*(ASSESSMENT_FIELDS[n] for n in ASSESSMENT_COLUMNS))
 _assessment_values = attrgetter(*ASSESSMENT_FIELDS.values())
 
 SCENARIO_STATS_FIELDS = {
@@ -67,16 +70,39 @@ JOINT_COLUMNS = [f.name for f in fields(JointEntry)]
 HEATMAP_COLUMNS = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
 
 
+# Every table is written through one % template per chunk of columns, chosen
+# by dtype kind: floats at 6 significant digits, integers in full, text
+# (held as objects) as the csv module quotes it.
+_CELL_FORMATS = {"f": "%.6g", "i": "%d", "O": "%s"}
+# Every character that can make the csv module quote a field.
+_QUOTE_TRIGGERS = ',"\r\n'
+
+
+def _csv_field(text: str) -> str:
+    """A text field exactly as csv.writer writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("", text))
+    return buf.getvalue()[1:-1]
+
+
+def write_columns(stream: TextIO, columns: list[np.ndarray]) -> int:
+    """Write rows given as equal-length columns; returns the number of rows."""
+    template = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns) + "\n"
+    cells = [column.tolist() for column in columns]
+    for i, column in enumerate(columns):
+        text = "".join(cells[i]) if column.dtype.kind == "O" else ""
+        if any(c in text for c in _QUOTE_TRIGGERS):
+            cells[i] = list(map(_csv_field, cells[i]))
+    stream.write("".join(map(template.__mod__, zip(*cells))))
+    return len(columns[0])
+
+
 def write_rows(stream: TextIO, header: list[str], rows: Iterable) -> int:
-    """Write a header and rows as LF-terminated CSV to an open text stream,
-    floats at 6 significant digits; returns the number of data rows."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for row in rows:
-        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
-        count += 1
-    return count
+    """Write a header and rows of floats, ints and strings as LF-terminated
+    CSV to an open text stream; returns the number of data rows."""
+    stream.write(",".join(header) + "\n")
+    columns = [np.array(c, dtype=object if isinstance(c[0], str) else None) for c in zip(*rows)]
+    return write_columns(stream, columns) if columns else 0
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
@@ -84,17 +110,23 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
         return write_rows(fh, header, rows)
 
 
+def write_assessed(stream: TextIO, header: list[str], blocks: Iterable) -> int:
+    """Write the samples or replay table: header is the key column's name
+    plus ASSESSMENT_COLUMNS, and each block is (key column, assess_columns
+    result). Returns the number of rows."""
+    stream.write(",".join(header) + "\n")
+    paths = [ASSESSMENT_FIELDS[name] for name in ASSESSMENT_COLUMNS]
+    return sum(write_columns(stream, [keys, *(columns[p] for p in paths)]) for keys, columns in blocks)
+
+
 def assessment_record(assessment: Assessment) -> dict:
     """JSON-friendly view of one assessment: every field of ASSESSMENT_FIELDS."""
     return dict(zip(ASSESSMENT_FIELDS, _assessment_values(assessment)))
 
 
-def write_samples(path: Path, rows: Iterable[tuple[int, Assessment]]) -> int:
-    return _write_csv(
-        path,
-        SAMPLES_COLUMNS,
-        ((scenario_id, *assessment_row(a)) for scenario_id, a in rows),
-    )
+def write_samples(path: Path, blocks: Iterable[tuple[np.ndarray, dict]]) -> int:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        return write_assessed(fh, SAMPLES_COLUMNS, blocks)
 
 
 def write_scenario_stats(path: Path, stats: list[ScenarioStats]) -> int:
@@ -111,12 +143,8 @@ def write_heatmap(path: Path) -> int:
     return _write_csv(path, HEATMAP_COLUMNS, heatmap_rows())
 
 
-def write_marginals(
-    path: Path,
-    catalog: BandCatalog,
-    p_f: MarginalDistribution,
-    p_v: MarginalDistribution,
-) -> int:
+def write_marginals(path: Path, catalog: BandCatalog, p_f: MarginalDistribution,
+                    p_v: MarginalDistribution) -> int:
     rows = (
         [band.dimension.value, band.label, band.lower, band.upper, band.crash_rate, p]
         for bands, dist in [(catalog.friction_bands, p_f), (catalog.visibility_bands, p_v)]
@@ -130,20 +158,13 @@ def write_joint(path: Path, table: JointProbabilityTable) -> int:
     return _write_csv(path, JOINT_COLUMNS, map(attrgetter(*JOINT_COLUMNS), table.entries))
 
 
-def write_manifest(
-    path: Path,
-    command: str,
-    version: str,
-    config: dict,
-    outputs: dict[str, int],
-) -> None:
+def write_manifest(path: Path, command: str, version: str, config: dict,
+                   outputs: dict[str, int]) -> None:
     manifest = {
         "command": command,
         "version": version,
         "config": config,
-        "outputs": [
-            {"path": name, "rows": rows} for name, rows in sorted(outputs.items())
-        ],
+        "outputs": [{"path": name, "rows": rows} for name, rows in sorted(outputs.items())],
     }
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

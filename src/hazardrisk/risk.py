@@ -6,9 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .bands import BandCatalog, EnvironmentReading, classify
+import numpy as np
+
+from .bands import BandCatalog, EnvironmentReading
 from .probability import JointProbabilityTable
-from .severity import SpeedProfile, score_severity, speed_profile
+from .severity import _SEVERITY_EDGES, SpeedProfile, score_severity, speed_profile, speed_profiles
 
 
 class RiskLevel(str, Enum):
@@ -21,6 +23,7 @@ class RiskLevel(str, Enum):
 
 # Levels in score order; each spans five composite scores, 1-5 up to 21-25.
 _LEVELS = tuple(RiskLevel)
+_LEVEL_NAMES = np.array([level.value for level in _LEVELS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -73,21 +76,44 @@ def assess(
 ) -> Assessment:
     """Classify a reading, look up its scenario's probability score, compute
     the advisory-speed severity, and compose the risk score and level."""
-    friction_band, visibility_band = classify(reading, catalog)
-    entry = joint_table.lookup(friction_band.label, visibility_band.label)
-    profile = speed_profile(
-        reading.mu, reading.grade, reading.sight_distance, reading.design_speed
-    )
+    f, v = catalog.index(reading.mu, reading.sight_distance)
+    joint, p_score = joint_table.grid(catalog)[f][v]
+    profile = speed_profile(reading.mu, reading.grade, reading.sight_distance, reading.design_speed)
     s_score = score_severity(profile.reduction_pct)
-    score = composite_risk(entry.probability_score, s_score)
+    score = composite_risk(p_score, s_score)
     return Assessment(
         reading=reading,
-        friction_label=friction_band.label,
-        visibility_label=visibility_band.label,
-        joint_probability=entry.normalized_joint,
-        probability_score=entry.probability_score,
+        friction_label=catalog.friction_bands[f].label,
+        visibility_label=catalog.sampling_visibility_bands[v].label,
+        joint_probability=joint,
+        probability_score=p_score,
         speed_profile=profile,
         severity_score=s_score,
         risk_score=score,
         risk_level=risk_level(score),
     )
+
+
+def assess_columns(mu, sight_distance, grade, design_speed, catalog: BandCatalog,
+                   joint_table: JointProbabilityTable) -> dict[str, np.ndarray]:
+    """assess() over arrays of valid readings (see valid_readings); grade and
+    design speed may be scalars. Returns a column per Assessment attribute,
+    keyed by its dotted path ("speed_profile.v_fhwa", "risk_level.value"),
+    each element equal to what assess() gives for that reading."""
+    f = np.searchsorted(catalog._friction_cuts, mu, side="right")
+    v = np.searchsorted(catalog._visibility_cuts, sight_distance, side="right")
+    grid = np.array(joint_table.grid(catalog))
+    p_score = grid[f, v, 1].astype(int)
+    profile = speed_profiles(mu, grade, sight_distance, design_speed)
+    s_score = np.searchsorted(_SEVERITY_EDGES, profile.reduction_pct, side="right") + 1
+    score = p_score * s_score
+    f_labels, v_labels = (np.array(labels, dtype=object) for labels in catalog._labels)
+    return {
+        "friction_label": f_labels[f], "visibility_label": v_labels[v],
+        "reading.mu": mu, "reading.sight_distance": sight_distance,
+        "reading.grade": grade, "reading.design_speed": design_speed,
+        "joint_probability": grid[f, v, 0], "probability_score": p_score,
+        **{f"speed_profile.{name}": value for name, value in vars(profile).items()},
+        "severity_score": s_score, "risk_score": score,
+        "risk_level.value": _LEVEL_NAMES[(score - 1) // 5],
+    }

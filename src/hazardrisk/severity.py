@@ -7,6 +7,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 # Lower edges of severity scores 2-5 on percent speed reduction; bins are
 # left-closed.
 _SEVERITY_EDGES = (6.67, 20.0, 100.0 / 3.0, 200.0 / 3.0)
@@ -18,7 +20,8 @@ SPEED_SCALE = 15.0 / 22.0
 @dataclass(frozen=True)
 class SpeedProfile:
     """The advisory-speed chain: raw safe speed, scaled speed, final advisory
-    capped at design speed, and percent reduction from design speed."""
+    capped at design speed, and percent reduction from design speed; floats
+    for one reading, arrays for many (see speed_profiles)."""
 
     v_fhwa: float
     v_scaled: float
@@ -35,13 +38,23 @@ def fhwa_safe_speed(mu: float, grade: float, sight_distance: float) -> float:
     if sight_distance < 0:
         raise ValueError(f"sight distance must be >= 0, got {sight_distance}")
     mg = mu + grade
-    v = (-3.67 + math.sqrt(13.47 + 0.12 * sight_distance / mg)) / (0.06 / mg)
+    v = textbook_safe_speed(mg, sight_distance)
     if not math.isfinite(v):
-        # 0.12 * s / mg overflows for a subnormal mg or a huge s; this
-        # algebraically equal form stays finite there. It can differ by an
-        # ulp on ordinary readings, so it serves only as the fallback.
-        v = (math.sqrt(mg * (13.47 * mg + 0.12 * sight_distance)) - 3.67 * mg) / 0.06
+        v = fallback_safe_speed(mg, sight_distance)
     return max(v, 0.0)
+
+
+# Both forms of the safe speed at friction plus grade mg take the square root
+# as a parameter, so the scalar (math.sqrt) and array (np.sqrt) chains share
+# each expression. The textbook form overflows where 0.12 * s / mg does (a
+# subnormal mg or a huge s); the fallback, algebraically equal, stays finite
+# there but can differ by an ulp elsewhere, so it serves only there.
+def textbook_safe_speed(mg, sight_distance, sqrt=math.sqrt):
+    return (-3.67 + sqrt(13.47 + 0.12 * sight_distance / mg)) / (0.06 / mg)
+
+
+def fallback_safe_speed(mg, sight_distance, sqrt=math.sqrt):
+    return (sqrt(mg * (13.47 * mg + 0.12 * sight_distance)) - 3.67 * mg) / 0.06
 
 
 def advisory_speed(v_fhwa: float, v_design: float) -> SpeedProfile:
@@ -55,13 +68,7 @@ def advisory_speed(v_fhwa: float, v_design: float) -> SpeedProfile:
     v_advisory = min(v_design, v_scaled)
     # Clamp: the division can overshoot 100 by one ulp when v_advisory is 0.
     reduction_pct = min(100.0, max(0.0, 100.0 * (v_design - v_advisory) / v_design))
-    return SpeedProfile(
-        v_fhwa=v_fhwa,
-        v_scaled=v_scaled,
-        v_advisory=v_advisory,
-        v_design=v_design,
-        reduction_pct=reduction_pct,
-    )
+    return SpeedProfile(v_fhwa, v_scaled, v_advisory, v_design, reduction_pct)
 
 
 def score_severity(reduction_pct: float) -> int:
@@ -71,8 +78,20 @@ def score_severity(reduction_pct: float) -> int:
     return bisect_right(_SEVERITY_EDGES, reduction_pct) + 1
 
 
-def speed_profile(
-    mu: float, grade: float, sight_distance: float, v_design: float
-) -> SpeedProfile:
+def speed_profile(mu: float, grade: float, sight_distance: float, v_design: float) -> SpeedProfile:
     """Full advisory-speed chain for one reading."""
     return advisory_speed(fhwa_safe_speed(mu, grade, sight_distance), v_design)
+
+
+def speed_profiles(mu, grade, sight_distance, v_design) -> SpeedProfile:
+    """speed_profile over arrays of valid readings, as a SpeedProfile of
+    arrays; each element equals the scalar chain's float bit for bit."""
+    mg = mu + grade
+    with np.errstate(all="ignore"):  # overflow to inf is part of the chain, as in floats
+        v = textbook_safe_speed(mg, sight_distance, np.sqrt)
+        v = np.where(np.isfinite(v), v, fallback_safe_speed(mg, sight_distance, np.sqrt))
+        v_fhwa = np.maximum(v, 0.0)
+        v_scaled = SPEED_SCALE * v_fhwa
+        v_advisory = np.minimum(v_design, v_scaled)
+        reduction = np.minimum(100.0, np.maximum(0.0, 100.0 * (v_design - v_advisory) / v_design))
+    return SpeedProfile(v_fhwa, v_scaled, v_advisory, v_design, reduction)

@@ -2,9 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hazardrisk import EnvironmentReading, HazardBand, classify, scenario_grid
-from hazardrisk.bands import Dimension, load_catalog
+from hazardrisk.bands import Dimension, load_catalog, valid_readings
+
+
+# Each field on both sides of its domain edge, then random floats.
+@given(fields=st.tuples(st.floats(), st.floats(), st.floats(), st.floats()))
+@example(fields=(1.0, 0.0, 0.0, 75.0))
+@example(fields=(math.nextafter(1.0, 2.0), 0.0, 0.0, 75.0))
+@example(fields=(5e-324, 0.0, -5e-324, 5e-324))
+@example(fields=(0.0, 100.0, 0.5, 75.0))
+@example(fields=(0.5, -0.0, -0.5, 1.0))
+@example(fields=(0.5, -5e-324, 0.0, 75.0))
+@example(fields=(0.5, 100.0, 0.0, -0.0))
+@example(fields=(0.5, 6562.0, math.inf, 1.0))
+@example(fields=(0.5, math.nan, 0.0, 75.0))
+def test_valid_readings_is_the_reading_domain(fields):
+    try:
+        EnvironmentReading(*fields)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert valid_readings(*(np.array([x]) for x in fields)).tolist() == [accepted]
 
 
 class TestDefaultCatalog:
@@ -180,6 +202,17 @@ class TestLoadCatalog:
     def test_inconsistent_catalog_rejected(self, bad_rates_path):
         with pytest.raises(ValueError):
             load_catalog(bad_rates_path)
+
+    @pytest.mark.parametrize("old,new", [
+        ("friction,Snow,", "\nfriction,Snow,"),
+        ("friction,Wet,", 'friction,"Wet\nroad",'),
+    ], ids=["blank_line", "label_spanning_lines"])
+    def test_error_names_the_line_the_row_starts_on(self, tmp_path, default_rates_csv, old, new):
+        # 13 lines of default rates, one more from the edit, then the bad row.
+        path = tmp_path / "rates.csv"
+        path.write_text(default_rates_csv.replace(old, new) + "slope,Steep,0.1,0.2,1.0\n")
+        with pytest.raises(ValueError, match=r"line 15: unknown dimension 'slope'"):
+            load_catalog(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "rates.csv"

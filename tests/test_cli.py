@@ -1,11 +1,16 @@
 import csv
+import io
 import json
 import os
 import stat
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hazardrisk.cli
+from hazardrisk import EnvironmentReading
 from hazardrisk.cli import main
 from hazardrisk.reporting import SAMPLES_COLUMNS
 
@@ -122,6 +127,15 @@ class TestSimulate:
         assert len(read_csv(out / "scenario_stats.csv")) == 9
         assert len(read_csv(out / "joint.csv")) == 9
         assert len(read_csv(out / "samples.csv")) == 45
+
+    def test_output_does_not_depend_on_block_size(self, tmp_path, monkeypatch):
+        flags = ["simulate", "--seed", "5", "--samples", "7", "--grade", "0.01"]
+        assert main(flags + ["--out", str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 5)
+        assert main(flags + ["--out", str(tmp_path / "blocks")]) == 0
+        for name in ("samples.csv", "scenario_stats.csv", "manifest.json"):
+            whole = (tmp_path / "whole" / name).read_bytes()
+            assert (tmp_path / "blocks" / name).read_bytes() == whole, name
 
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "blocked"
@@ -274,6 +288,49 @@ class TestReplay:
         assert len(captured.out.splitlines()) == 2
         assert captured.err == "warning: line 3: skipped (field count differs from header)\n"
 
+    @pytest.mark.parametrize("log,lineno", [
+        ("timestamp,mu,sight_ft\nt0,0.8,5000\n\nt1,0,100\n", 4),
+        ('timestamp,mu,sight_ft\n"t\n0",0.8,5000\nt1,0,100\n', 4),
+        ('timestamp,mu,sight_ft\nt0,0.8,5000\n"t\n1",0,100\n', 3),
+    ], ids=["after_blank_line", "after_field_spanning_lines", "row_spanning_lines"])
+    def test_warning_names_the_line_the_row_starts_on(self, tmp_path, capsys, log, lineno):
+        src = tmp_path / "readings.csv"
+        src.write_text(log)
+        assert main(["replay", "--input", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: line {lineno}: skipped (mu must be in (0, 1], got 0.0)\n"
+        assert len(list(csv.reader(io.StringIO(captured.out)))) == 2
+
+    def test_warnings_follow_line_order(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text(
+            "timestamp,mu,sight_ft\n"
+            "t0,abc,100\n"
+            "t1,0.5\n"
+            "t2,0.5,-1\n"
+            "t3,0.5,100\n"
+            "t4,0.5,100,9\n"
+        )
+        assert main(["replay", "--input", str(src)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: line 2: skipped (could not convert string to float: 'abc')\n"
+            "warning: line 3: skipped (field count differs from header)\n"
+            "warning: line 4: skipped (sight_distance must be >= 0, got -1.0)\n"
+            "warning: line 6: skipped (field count differs from header)\n"
+        )
+
+    def test_output_does_not_depend_on_block_size(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "readings.csv"
+        rows = [f"t{i},{(i % 11) / 10},{i * 37 % 7000},{'' if i % 3 else 0.01},"
+                for i in range(40)]
+        src.write_text("timestamp,mu,sight_ft,grade,design_speed\n" + "\n".join(rows) + "\n")
+        assert main(["replay", "--input", str(src)]) == 0
+        whole = capsys.readouterr()
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+        assert main(["replay", "--input", str(src)]) == 0
+        assert capsys.readouterr() == whole
+        assert whole.err.count("warning") == 4  # the rows with mu = 0
+
     def test_failed_log_leaves_out_path_as_it_was(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
         src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
@@ -419,3 +476,44 @@ class TestConfigOverride:
                      "--config", str(bad_rates_path)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Log cells that float() reads in ways a hand-written parser might not:
+# blanks, underscores, spelled-out infinities, overflow, hex, subnormals.
+LOG_CELLS = st.one_of(
+    st.sampled_from(["", " 0.3", "0.3 ", "1_0", "0_.5", "nan", "-inf", "Infinity", "1e400",
+                     "-1e400", "0x1p-2", "5e-324", "-0.0", "0", "1", "1.0000001", "abc", "1e308",
+                     "-1e-300", "-0.5", "1.5"]),
+    st.floats().map(repr),
+)
+
+
+def _scalar_accepts(mu, sight, grade, design, design_flag):
+    try:
+        EnvironmentReading(float(mu), float(sight), float(grade or 0.0),
+                           float(design or design_flag))
+    except ValueError:
+        return False
+    return True
+
+
+# A numpy warning would reach stderr as an extra line: make it an error.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.lists(st.tuples(LOG_CELLS, LOG_CELLS, LOG_CELLS, LOG_CELLS), min_size=1,
+                      max_size=8))
+def test_replay_scores_exactly_the_rows_the_reading_accepts(tmp_path, capsys, cells):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["timestamp", "mu", "sight_ft", "grade", "design_speed"])
+    writer.writerows([f"t{i}", *row] for i, row in enumerate(cells))
+    src = tmp_path / "fuzz.csv"
+    src.write_text(buf.getvalue())
+    accepted = [f"t{i}" for i, row in enumerate(cells) if _scalar_accepts(*row, 75.0)]
+    rc = main(["replay", "--input", str(src)])
+    captured = capsys.readouterr()
+    assert rc == (0 if accepted else 65)
+    scored = [row[0] for row in csv.reader(io.StringIO(captured.out))][1:]
+    assert scored == accepted
+    assert captured.err.count("warning: line") == len(cells) - len(accepted)

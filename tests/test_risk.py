@@ -1,6 +1,8 @@
 import math
 from dataclasses import astuple
+from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -9,10 +11,12 @@ from hazardrisk import (
     EnvironmentReading,
     RiskLevel,
     assess,
+    assess_columns,
     composite_risk,
     risk_level,
     risk_matrix,
 )
+from hazardrisk.reporting import ASSESSMENT_FIELDS
 
 
 class TestCompositeRisk:
@@ -190,3 +194,67 @@ class TestAssessProperties:
     def test_nonfinite_field_rejected(self, fields, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             EnvironmentReading(**{**fields, field: value})
+
+
+# Band edges and classification cuts of the built-in catalog, where a reading
+# changes band, plus the sensor envelope's ends.
+FRICTION_EDGES = [0.05, 0.15, 0.175, 0.2, 0.3, 0.35, 0.4, 0.6, 0.65, 0.7, 0.9, 1.0]
+SIGHT_EDGES = [0.0, 33.0, 164.0, 1000.0, 4000.0, 6500.0, 6562.0]
+
+column_readings = st.lists(
+    st.fixed_dictionaries(
+        {
+            "mu": st.one_of(
+                st.sampled_from(FRICTION_EDGES), st.floats(0, 1, exclude_min=True)
+            ),
+            "sight_distance": st.one_of(
+                st.sampled_from(SIGHT_EDGES), st.floats(min_value=0, max_value=1e308)
+            ),
+            "grade": st.one_of(st.just(0.0), st.floats(min_value=-1, max_value=1)),
+            "design_speed": st.floats(min_value=0, max_value=200, exclude_min=True),
+        }
+    ).filter(lambda f: f["mu"] + f["grade"] > 0),
+    min_size=1,
+    max_size=40,
+)
+EXTREMES = [
+    {"mu": 5e-324, "sight_distance": 100.0, "grade": 0.0, "design_speed": 75.0},
+    {"mu": 0.05, "sight_distance": 1e308, "grade": 0.0, "design_speed": 75.0},
+    {"mu": 0.8, "sight_distance": 5000.0, "grade": 0.0, "design_speed": 75.0},
+]
+
+
+class TestAssessColumns:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(readings=column_readings)
+    @example(readings=EXTREMES)
+    def test_every_column_equals_assess_bit_for_bit(self, catalog, joint_table, readings):
+        names = ("mu", "sight_distance", "grade", "design_speed")
+        arrays = [np.array([r[name] for r in readings]) for name in names]
+        columns = assess_columns(*arrays, catalog, joint_table)
+        for path in ASSESSMENT_FIELDS.values():
+            for fields, got in zip(readings, columns[path].tolist()):
+                want = attrgetter(path)(assess(EnvironmentReading(**fields), catalog, joint_table))
+                # repr tells every float apart, including -0.0 from 0.0.
+                assert (type(got), repr(got)) == (type(want), repr(want)), (path, fields)
+
+    # (sight, design speed) pairs at mu 0.5 whose percent reduction lands
+    # exactly on each severity edge: 6.67, 20, 100/3 and 200/3.
+    @pytest.mark.parametrize("sight,design", [
+        (415.0, 42.39257221459931), (100.0, 17.40961915569003),
+        (100.0, 20.891542986828036), (100.0, 41.783085973656085),
+    ])
+    def test_severity_edges_match_assess(self, catalog, joint_table, sight, design):
+        reading = EnvironmentReading(0.5, sight, 0.0, design)
+        want = assess(reading, catalog, joint_table)
+        assert want.speed_profile.reduction_pct in (6.67, 20.0, 100 / 3, 200 / 3)
+        columns = assess_columns(np.array([0.5]), np.array([sight]), 0.0, design,
+                                 catalog, joint_table)
+        assert columns["severity_score"].tolist() == [want.severity_score]
+
+    def test_scalar_grade_and_design_speed_broadcast(self, catalog, joint_table):
+        mu, sight = np.array([0.1, 0.8]), np.array([150.0, 500.0])
+        scalar = assess_columns(mu, sight, 0.02, 55.0, catalog, joint_table)
+        full = assess_columns(mu, sight, np.full(2, 0.02), np.full(2, 55.0), catalog, joint_table)
+        assert scalar["risk_score"].tolist() == full["risk_score"].tolist()
+        assert scalar["speed_profile.v_fhwa"].tolist() == full["speed_profile.v_fhwa"].tolist()

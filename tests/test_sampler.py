@@ -44,6 +44,22 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal(0.5, 0.0, 0.4, 0.6, rng)
 
+    @pytest.mark.parametrize("sigma_rule", [6.0, 0.5, 0.01])
+    def test_array_draw_consumes_the_stream_like_single_draws(self, sigma_rule):
+        # Wider sigma means more rejections, the last at 0.01 (0.4% accepted).
+        sigma = 0.2 / sigma_rule
+        one, many = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [truncated_normal(0.8, sigma, 0.7, 0.9, one) for _ in range(300)]
+        draws = truncated_normal(0.8, sigma, 0.7, 0.9, many, 300)
+        assert draws.tolist() == singles
+        assert one.bit_generator.state == many.bit_generator.state
+
+    def test_size_zero_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert truncated_normal(0.8, 0.03, 0.7, 0.9, rng, 0).size == 0
+        assert rng.bit_generator.state == state
+
     def test_negligible_acceptance_mass_errors(self):
         # Window 40 sigma away from the mean: rejection cannot succeed.
         rng = np.random.default_rng(0)
@@ -158,6 +174,15 @@ class TestScenarioStatistics:
             assert 1.0 <= s.lower_3sigma <= s.mean
             assert s.mean <= s.upper_3sigma <= 25.0
             assert 1 <= s.min <= s.max <= 25
+
+    def test_scores_are_read_in_scenario_blocks(self, catalog):
+        samples = generate_dataset(SamplerConfig(seed=1, samples_per_scenario=3), catalog)
+        # Scenario k's three samples all score k.
+        scores = np.repeat(np.arange(1, 17), 3)
+        stats = scenario_statistics(samples, scores)
+        assert [(s.scenario.scenario_id, s.mean, s.std) for s in stats] == [
+            (k, float(k), 0.0) for k in range(1, 17)
+        ]
 
     def test_mismatched_score_count_rejected(self, catalog):
         samples = generate_dataset(SamplerConfig(seed=1, samples_per_scenario=2), catalog)

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hazardrisk import advisory_speed, fhwa_safe_speed, score_severity, speed_profile
+from hazardrisk.severity import fallback_safe_speed, textbook_safe_speed
 
 
 def flat_safe_speed(mu, grade, s):
@@ -58,6 +59,32 @@ class TestFhwaSafeSpeed:
     )
     def test_monotone_in_friction(self, mu, delta, s):
         assert fhwa_safe_speed(mu + delta, 0, s) > fhwa_safe_speed(mu, 0, s)
+
+
+class TestFallbackSafeSpeed:
+    # Friction plus grade down to 1e-150 keeps every intermediate of both
+    # forms a normal float; sight is capped where 0.12 * s / mg would overflow.
+    @given(
+        mg=st.floats(min_value=1e-150, max_value=2.0),
+        sight=st.floats(min_value=0.0, max_value=1e308),
+    )
+    @example(mg=0.05, sight=0.0)
+    @example(mg=1e-150, sight=1e150)
+    @example(mg=1.0, sight=6562.0)
+    def test_within_a_few_ulp_of_textbook_form(self, mg, sight):
+        sight = min(sight, mg * 1e307)
+        textbook = textbook_safe_speed(mg, sight)
+        fallback = fallback_safe_speed(mg, sight)
+        assert math.isfinite(textbook) and math.isfinite(fallback)
+        # Both forms subtract 3.67 * mg / 0.06 from a square-root term of
+        # this size, so each one's rounding error is a few of its ulps.
+        scale = math.sqrt(mg * (13.47 * mg + 0.12 * sight)) / 0.06
+        assert abs(textbook - fallback) <= 4 * math.ulp(scale)
+
+    @pytest.mark.parametrize("mu,sight", [(5e-324, 100.0), (0.05, 1e308)])
+    def test_serves_where_textbook_form_overflows(self, mu, sight):
+        assert not math.isfinite(textbook_safe_speed(mu, sight))
+        assert fhwa_safe_speed(mu, 0.0, sight) == fallback_safe_speed(mu, sight)
 
 
 class TestAdvisorySpeed:
