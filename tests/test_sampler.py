@@ -12,6 +12,7 @@ from hazardrisk import (
     SamplerConfig,
     assess,
     generate_dataset,
+    sampler,
     scenario_statistics,
     truncated_normal,
 )
@@ -52,6 +53,13 @@ class TestTruncatedNormal:
         singles = [truncated_normal(0.8, sigma, 0.7, 0.9, one) for _ in range(300)]
         draws = truncated_normal(0.8, sigma, 0.7, 0.9, many, 300)
         assert draws.tolist() == singles
+        assert one.bit_generator.state == many.bit_generator.state
+
+    def test_draws_spanning_several_blocks_match_single_draws(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MAX_BLOCK", 7)
+        one, many = np.random.default_rng(8), np.random.default_rng(8)
+        singles = [truncated_normal(0.8, 0.1, 0.7, 0.9, one) for _ in range(100)]
+        assert truncated_normal(0.8, 0.1, 0.7, 0.9, many, 100).tolist() == singles
         assert one.bit_generator.state == many.bit_generator.state
 
     def test_size_zero_draws_nothing(self):
