@@ -301,6 +301,17 @@ class TestReplay:
         assert captured.err == f"warning: line {lineno}: skipped (mu must be in (0, 1], got 0.0)\n"
         assert len(list(csv.reader(io.StringIO(captured.out)))) == 2
 
+    @pytest.mark.parametrize("log", [
+        "timestamp,mu,sight_ft\nt0,0.8,5000\n",
+        "timestamp,mu,sight_ft,design_speed\nt0,0.8,5000,\n",
+    ], ids=["no_column", "blank_cell"])
+    def test_design_speed_flag_fills_in_for_the_row(self, tmp_path, capsys, log):
+        src = tmp_path / "readings.csv"
+        src.write_text(log)
+        assert main(["replay", "--input", str(src), "--design-speed", "55"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (row["v_advisory_mph"], row["reduction_pct"]) == ("55", "0")
+
     def test_warnings_follow_line_order(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
         src.write_text(
