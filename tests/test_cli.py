@@ -1,16 +1,19 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import stat
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hazardrisk.cli
-from hazardrisk import EnvironmentReading
+from hazardrisk import (EnvironmentReading, assess, assess_columns, joint_probability,
+                        load_catalog, normalize_marginals)
 from hazardrisk.cli import main
 from hazardrisk.reporting import SAMPLES_COLUMNS
 
@@ -487,6 +490,62 @@ class TestConfigOverride:
                      "--config", str(bad_rates_path)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Sensor bands that list the labels in another order than the literature
+# bands: a join by band position instead of by label would give Dense Fog
+# readings the joint of Very Dense Fog, and so on.
+REORDERED_SAMPLING = (
+    "sampling_visibility,Dense Fog,33,164,4.95\n"
+    "sampling_visibility,Very Dense Fog,164,1000,18.7\n"
+    "sampling_visibility,Clear,1000,4000,0.685\n"
+    "sampling_visibility,Rain/Snow,4000,6500,1.85\n"
+)
+# A sight distance inside each sensor band, with that band's label.
+REORDERED_SIGHTS = {100.0: "Dense Fog", 500.0: "Very Dense Fog", 2000.0: "Clear",
+                    5000.0: "Rain/Snow", 164.0: "Very Dense Fog", 4000.0: "Rain/Snow"}
+
+
+class TestReorderedSensorBands:
+    @pytest.fixture
+    def config(self, tmp_path, default_rates_csv):
+        lines = default_rates_csv.splitlines(keepends=True)
+        path = tmp_path / "reordered.csv"
+        path.write_text("".join(line for line in lines
+                                if not line.startswith("sampling_visibility,")) + REORDERED_SAMPLING)
+        return path
+
+    def test_readings_take_the_joint_of_their_labels(self, config):
+        catalog = load_catalog(config)
+        table = joint_probability(normalize_marginals(list(catalog.friction_bands)),
+                                  normalize_marginals(list(catalog.visibility_bands)))
+        mus = [0.1, 0.25, 0.5, 0.8]
+        pairs = [(mu, sight) for mu in mus for sight in REORDERED_SIGHTS]
+        columns = assess_columns(np.array([mu for mu, _ in pairs]),
+                                 np.array([sight for _, sight in pairs]), 0.0, 75.0,
+                                 catalog, table)
+        for i, (mu, sight) in enumerate(pairs):
+            result = assess(EnvironmentReading(mu, sight), catalog, table)
+            assert result.visibility_label == REORDERED_SIGHTS[sight]
+            want = table.lookup(result.friction_label, result.visibility_label)
+            assert (result.joint_probability, result.probability_score) == (
+                want.normalized_joint, want.probability_score)
+            assert columns["visibility_label"][i] == result.visibility_label
+            assert (columns["joint_probability"][i], columns["probability_score"][i]) == (
+                want.normalized_joint, want.probability_score)
+
+    def test_assess_reports_the_sensor_label(self, config, capsys):
+        assert main(["assess", "--mu", "0.8", "--sight-ft", "100", "--config", str(config)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["visibility_label"], record["joint_prob"], record["prob_score"]) == (
+            "Dense Fog", 0.017825067009837905, 2)
+
+    def test_simulate_samples_digest(self, config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed", "3", "--samples", "50", "--config", str(config),
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+        assert digest == "9c3ec8ef0c0c2b89d10d1de320cf9e09b6b3c2323a77b5cc24b470241fdf8b73"
 
 
 # Log cells that float() reads in ways a hand-written parser might not:
