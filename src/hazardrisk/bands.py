@@ -120,8 +120,6 @@ class BandCatalog:
     sampling_visibility_bands: tuple[HazardBand, ...]
     _friction_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _visibility_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # Friction and sensor-visibility labels in band order: a grid's layout.
-    _labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_bands(self.friction_bands, Dimension.FRICTION, "friction_bands")
@@ -139,12 +137,6 @@ class BandCatalog:
                              "visibility_bands one to one")
         object.__setattr__(self, "_friction_cuts", _band_cuts(self.friction_bands))
         object.__setattr__(self, "_visibility_cuts", _band_cuts(sampling))
-        labels = tuple(tuple(b.label for b in bands) for bands in (self.friction_bands, sampling))
-        object.__setattr__(self, "_labels", labels)
-
-    def index(self, mu: float, sight: float) -> tuple[int, int]:
-        """Indexes of a reading's friction band and sensor-visibility band."""
-        return bisect_right(self._friction_cuts, mu), bisect_right(self._visibility_cuts, sight)
 
 
 # Crash rates: friction by surface condition, visibility by range band
@@ -257,8 +249,9 @@ def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:
 def classify(reading: EnvironmentReading, catalog: BandCatalog) -> tuple[HazardBand, HazardBand]:
     """Classify a reading into its friction band and its (sensor-aligned)
     visibility band."""
-    f, v = catalog.index(reading.mu, reading.sight_distance)
-    return catalog.friction_bands[f], catalog.sampling_visibility_bands[v]
+    return (catalog.friction_bands[bisect_right(catalog._friction_cuts, reading.mu)],
+            catalog.sampling_visibility_bands[bisect_right(catalog._visibility_cuts,
+                                                           reading.sight_distance)])
 
 
 def scenario_grid(catalog: BandCatalog) -> list[Scenario]:

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bands import BandCatalog, EnvironmentReading
+from .bands import BandCatalog, EnvironmentReading, classify
 from .probability import JointProbabilityTable
 from .severity import _SEVERITY_EDGES, SpeedProfile, score_severity, speed_profile, speed_profiles
 
@@ -76,22 +76,13 @@ def assess(
 ) -> Assessment:
     """Classify a reading, look up its scenario's probability score, compute
     the advisory-speed severity, and compose the risk score and level."""
-    f, v = catalog.index(reading.mu, reading.sight_distance)
-    joint, p_score = joint_table.grid(catalog)[f][v]
+    fband, vband = classify(reading, catalog)
+    entry = joint_table.lookup(fband.label, vband.label)
     profile = speed_profile(reading.mu, reading.grade, reading.sight_distance, reading.design_speed)
     s_score = score_severity(profile.reduction_pct)
-    score = composite_risk(p_score, s_score)
-    return Assessment(
-        reading=reading,
-        friction_label=catalog.friction_bands[f].label,
-        visibility_label=catalog.sampling_visibility_bands[v].label,
-        joint_probability=joint,
-        probability_score=p_score,
-        speed_profile=profile,
-        severity_score=s_score,
-        risk_score=score,
-        risk_level=risk_level(score),
-    )
+    score = composite_risk(entry.probability_score, s_score)
+    return Assessment(reading, fband.label, vband.label, entry.normalized_joint,
+                      entry.probability_score, profile, s_score, score, risk_level(score))
 
 
 def assess_columns(mu, sight_distance, grade, design_speed, catalog: BandCatalog,
@@ -102,17 +93,21 @@ def assess_columns(mu, sight_distance, grade, design_speed, catalog: BandCatalog
     each element equal to what assess() gives for that reading."""
     f = np.searchsorted(catalog._friction_cuts, mu, side="right")
     v = np.searchsorted(catalog._visibility_cuts, sight_distance, side="right")
-    grid = np.array(joint_table.grid(catalog))
-    p_score = grid[f, v, 1].astype(int)
+    f_bands, v_bands = catalog.friction_bands, catalog.sampling_visibility_bands
+    # Each scenario's joint entry, indexed [friction band][sensor band].
+    entries = [[joint_table.lookup(fb.label, vb.label) for vb in v_bands] for fb in f_bands]
+    joint = np.array([[e.normalized_joint for e in row] for row in entries])[f, v]
+    p_score = np.array([[e.probability_score for e in row] for row in entries])[f, v]
     profile = speed_profiles(mu, grade, sight_distance, design_speed)
     s_score = np.searchsorted(_SEVERITY_EDGES, profile.reduction_pct, side="right") + 1
     score = p_score * s_score
-    f_labels, v_labels = (np.array(labels, dtype=object) for labels in catalog._labels)
+    f_labels, v_labels = (np.array([b.label for b in bands], dtype=object)
+                          for bands in (f_bands, v_bands))
     return {
         "friction_label": f_labels[f], "visibility_label": v_labels[v],
         "reading.mu": mu, "reading.sight_distance": sight_distance,
         "reading.grade": grade, "reading.design_speed": design_speed,
-        "joint_probability": grid[f, v, 0], "probability_score": p_score,
+        "joint_probability": joint, "probability_score": p_score,
         **{f"speed_profile.{name}": value for name, value in vars(profile).items()},
         "severity_score": s_score, "risk_score": score,
         "risk_level.value": _LEVEL_NAMES[(score - 1) // 5],
