@@ -214,6 +214,10 @@ def load_catalog(path: str | Path) -> BandCatalog:
     required = {"dimension", "label", "lower", "upper", "crash_rate"}
     if header is None or not required.issubset(header):
         raise ValueError(f"crash-rate config {path}: header must contain {sorted(required)}")
+    # dict(zip(header, row)) would keep only the last of a repeated column.
+    last = {name: i for i, name in enumerate(header)}
+    if repeated := [name for i, name in enumerate(header) if last[name] != i]:
+        raise ValueError(f"crash-rate config {path}: header repeats column {repeated[0]!r}")
     for lineno, values in records:
         if len(values) != len(header):
             raise ValueError(f"crash-rate config {path} line {lineno}: field count differs from header")
@@ -221,7 +225,10 @@ def load_catalog(path: str | Path) -> BandCatalog:
         dim = row["dimension"].strip().lower()
         if dim not in groups:
             raise ValueError(f"crash-rate config {path} line {lineno}: unknown dimension {dim!r}")
-        bounds_and_rate = (float(row[name]) for name in ("lower", "upper", "crash_rate"))
+        try:
+            bounds_and_rate = [float(row[name]) for name in ("lower", "upper", "crash_rate")]
+        except ValueError as exc:
+            raise ValueError(f"crash-rate config {path} line {lineno}: {exc}") from exc
         groups[dim].append((row["label"].strip(), *bounds_and_rate))
     for dim, rows in groups.items():
         if not rows:
@@ -249,9 +256,9 @@ def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:
 def classify(reading: EnvironmentReading, catalog: BandCatalog) -> tuple[HazardBand, HazardBand]:
     """Classify a reading into its friction band and its (sensor-aligned)
     visibility band."""
-    return (catalog.friction_bands[bisect_right(catalog._friction_cuts, reading.mu)],
-            catalog.sampling_visibility_bands[bisect_right(catalog._visibility_cuts,
-                                                           reading.sight_distance)])
+    f = bisect_right(catalog._friction_cuts, reading.mu)
+    v = bisect_right(catalog._visibility_cuts, reading.sight_distance)
+    return catalog.friction_bands[f], catalog.sampling_visibility_bands[v]
 
 
 def scenario_grid(catalog: BandCatalog) -> list[Scenario]:

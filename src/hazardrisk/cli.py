@@ -195,6 +195,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 print("error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
                       file=sys.stderr)
                 return EXIT_NODATA
+            last = {name: i for i, name in enumerate(header)}
+            if repeated := [name for i, name in enumerate(header) if last[name] != i]:
+                print(f"error: {input_path}: header repeats column {repeated[0]!r}", file=sys.stderr)
+                return EXIT_NODATA
             records = numbered_records(reader)
             blocks = iter(lambda: list(islice(records, BLOCK_ROWS)), [])
             valid = (_valid_columns(block, header, args.design_speed) for block in blocks)

@@ -78,6 +78,29 @@ class TestBandValidation:
         with pytest.raises(ValueError, match="crash_rate"):
             HazardBand(Dimension.FRICTION, "bad", 0.4, 0.5, rate)
 
+    def test_zero_width_band_rejected(self):
+        with pytest.raises(ValueError, match="must be < upper"):
+            HazardBand(Dimension.FRICTION, "bad", 0.5, 0.5, 1.0)
+
+    # Each dimension's bounds: the closed ends are accepted, and the next
+    # float past either end is rejected.
+    @pytest.mark.parametrize("dimension,low,high", [
+        (Dimension.FRICTION, 0.0, 1.0), (Dimension.VISIBILITY, 0.0, 6562.0)])
+    def test_bounds_accepted_at_the_ends(self, dimension, low, high):
+        band = HazardBand(dimension, "edge", low, high, 1.0)
+        assert (band.lower, band.upper) == (low, high)
+
+    @pytest.mark.parametrize("dimension,low,high", [
+        (Dimension.FRICTION, 0.0, 1.0), (Dimension.VISIBILITY, 0.0, 6562.0)])
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_bounds_rejected_one_float_past_the_ends(self, dimension, low, high, end):
+        if end == "lower":
+            low = math.nextafter(low, -math.inf)
+        else:
+            high = math.nextafter(high, math.inf)
+        with pytest.raises(ValueError, match="bounds must lie in"):
+            HazardBand(dimension, "edge", low, high, 1.0)
+
 
 class TestReadingValidation:
     def test_mu_zero_rejected(self):
@@ -213,6 +236,23 @@ class TestLoadCatalog:
         path.write_text(default_rates_csv.replace(old, new) + "slope,Steep,0.1,0.2,1.0\n")
         with pytest.raises(ValueError, match=r"line 15: unknown dimension 'slope'"):
             load_catalog(path)
+
+    def test_unparseable_number_names_the_line(self, tmp_path, default_rates_csv):
+        # The bad cell follows a quoted label that spans lines 4-5.
+        path = tmp_path / "rates.csv"
+        path.write_text(default_rates_csv.replace("friction,Wet,0.4,", 'friction,"Wet\nroad",abc,'))
+        with pytest.raises(ValueError) as info:
+            load_catalog(path)
+        assert str(info.value) == (
+            f"crash-rate config {path} line 4: could not convert string to float: 'abc'")
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_text("dimension,label,lower,upper,crash_rate,crash_rate\n"
+                        "friction,Dry,0.7,0.9,1.9,5.7\n")
+        with pytest.raises(ValueError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"crash-rate config {path}: header repeats column 'crash_rate'"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "rates.csv"

@@ -409,6 +409,15 @@ class TestReplay:
         finally:
             out_dir.chmod(0o755)
 
+    def test_repeated_column_exits_65(self, tmp_path, capsys):
+        # Read by name, the row would be scored on its second mu (0.1).
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft,mu\nt0,0.8,5000,0.1\n")
+        assert main(["replay", "--input", str(src)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {src}: header repeats column 'mu'\n"
+
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66
 
@@ -484,6 +493,22 @@ class TestConfigOverride:
         path.write_text("nonsense\n")
         assert main(["assess", "--mu", "0.5", "--sight-ft", "500",
                      "--config", str(path)]) == 64
+
+    def test_repeated_column_exits_64(self, tmp_path, capsys, default_rates_csv):
+        # A second crash_rate column with Dry's rate tripled: read by name,
+        # it would move this reading from probability score 4 to 5.
+        lines = default_rates_csv.splitlines()
+        lines = [f"{line},{line.split(',')[-1]}" for line in lines]
+        lines = [line.replace("friction,Dry,0.7,0.9,1.9,1.9", "friction,Dry,0.7,0.9,1.9,5.7")
+                 for line in lines]
+        assert "friction,Dry,0.7,0.9,1.9,5.7" in lines
+        path = tmp_path / "rates.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["assess", "--mu", "0.8", "--sight-ft", "100", "--config", str(path)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: crash-rate config {path}: header repeats column 'crash_rate'\n")
 
     def test_inconsistent_config_exits_64(self, bad_rates_path, capsys):
         assert main(["assess", "--mu", "0.8", "--sight-ft", "5000",

@@ -45,6 +45,11 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal(0.5, 0.0, 0.4, 0.6, rng)
 
+    def test_empty_interval_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="need lower < upper"):
+            truncated_normal(0.5, 0.1, 0.5, 0.5, rng)
+
     @pytest.mark.parametrize("sigma_rule", [6.0, 0.5, 0.01])
     def test_array_draw_consumes_the_stream_like_single_draws(self, sigma_rule):
         # Wider sigma means more rejections, the last at 0.01 (0.4% accepted).
