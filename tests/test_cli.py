@@ -612,3 +612,60 @@ def test_replay_scores_exactly_the_rows_the_reading_accepts(tmp_path, capsys, ce
     scored = [row[0] for row in csv.reader(io.StringIO(captured.out))][1:]
     assert scored == accepted
     assert captured.err.count("warning: line") == len(cells) - len(accepted)
+
+
+# Flag and config cell values at and past the edges of the domain: nan,
+# infinities, subnormals, the float limit and text float() rejects.
+EDGE_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308",
+                     "-1e308", "1e400", "abc", "", "0", "-0.0", "1_0", " 0.5", "0x1p-2", "1,5"]),
+    st.floats().map(repr),
+)
+
+
+def _check_exit(rc, captured):
+    """The CLI contract: a documented exit code; a failure prints exactly one
+    error line and nothing on stdout; a success prints strict JSON."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    assert rc in (0, 2, 64, 65, 66)
+    if rc:
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            captured.err.splitlines()[-1]], captured.err
+        assert captured.out == ""
+    else:
+        json.loads(captured.out, parse_constant=reject)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.dictionaries(st.sampled_from(["mu", "sight-ft", "grade", "design-speed"]),
+                             EDGE_VALUES))
+def test_assess_flags_exit_with_a_documented_code(capsys, flags):
+    argv = ["assess", "--mu", "0.5", "--sight-ft", "500"]
+    argv += [f"--{name}={value}" for name, value in flags.items()]
+    _check_exit(main(argv), capsys.readouterr())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_line_edits_exit_with_a_documented_code(tmp_path, capsys, default_rates_csv, data):
+    lines = default_rates_csv.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["delete", "repeat", "cell", "append_cell", "drop_cell"]))
+    cells = lines[i].split(",")
+    if edit == "delete":
+        lines[i:i + 1] = []
+    elif edit == "repeat":
+        lines[i:i] = [lines[i]]
+    elif edit == "cell":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(EDGE_VALUES)
+        lines[i] = ",".join(cells)
+    else:
+        lines[i] = ",".join(cells + [data.draw(EDGE_VALUES)] if edit == "append_cell" else cells[:-1])
+    path = tmp_path / "rates.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["assess", "--mu", "0.5", "--sight-ft", "500", "--config", str(path)])
+    _check_exit(rc, capsys.readouterr())
