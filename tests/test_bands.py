@@ -122,6 +122,10 @@ class TestReadingValidation:
         with pytest.raises(ValueError):
             EnvironmentReading(mu=0.1, sight_distance=100, grade=-0.1)
 
+    def test_grade_error_gives_the_sum(self):
+        with pytest.raises(ValueError, match=r"^mu \+ grade must be > 0, got -0\.25$"):
+            EnvironmentReading(mu=0.5, sight_distance=100, grade=-0.75)
+
     def test_negative_grade_accepted_when_sum_positive(self):
         reading = EnvironmentReading(mu=0.5, sight_distance=100, grade=-0.04)
         assert reading.grade == -0.04
