@@ -219,13 +219,13 @@ def load_catalog(path: str | Path) -> BandCatalog:
     if repeated := [name for i, name in enumerate(header) if last[name] != i]:
         raise ValueError(f"crash-rate config {path}: header repeats column {repeated[0]!r}")
     for lineno, values in records:
-        if len(values) != len(header):
-            raise ValueError(f"crash-rate config {path} line {lineno}: field count differs from header")
-        row = dict(zip(header, values))
-        dim = row["dimension"].strip().lower()
-        if dim not in groups:
-            raise ValueError(f"crash-rate config {path} line {lineno}: unknown dimension {dim!r}")
         try:
+            if len(values) != len(header):
+                raise ValueError("field count differs from header")
+            row = dict(zip(header, values))
+            dim = row["dimension"].strip().lower()
+            if dim not in groups:
+                raise ValueError(f"unknown dimension {dim!r}")
             bounds_and_rate = [float(row[name]) for name in ("lower", "upper", "crash_rate")]
         except ValueError as exc:
             raise ValueError(f"crash-rate config {path} line {lineno}: {exc}") from exc
