@@ -45,6 +45,16 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal(0.5, 0.0, 0.4, 0.6, rng)
 
+    # Windows of N(0, 1) on either side of the 1e-4 acceptance floor:
+    # [3.5, 4] holds 2.01e-4 of the mass, [3.6, 3.7] holds 5.13e-5.
+    def test_window_just_above_the_acceptance_floor_draws(self):
+        draws = truncated_normal(0.0, 1.0, 3.5, 4.0, np.random.default_rng(0), 5)
+        assert ((3.5 <= draws) & (draws <= 4.0)).all()
+
+    def test_window_just_below_the_acceptance_floor_errors(self):
+        with pytest.raises(RuntimeError, match="5.13e-05 of the mass"):
+            truncated_normal(0.0, 1.0, 3.6, 3.7, np.random.default_rng(0))
+
     def test_empty_interval_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="need lower < upper"):
@@ -117,6 +127,9 @@ class TestGenerateDataset:
         for sigma_rule in (0, 1e-9, 0.0099, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="sigma_rule"):
                 SamplerConfig(sigma_rule=sigma_rule)
+
+    def test_smallest_sigma_rule_accepted(self):
+        assert SamplerConfig(sigma_rule=0.01).sigma_rule == 0.01
 
 
 def _load_reference():

@@ -39,6 +39,8 @@ class TestFhwaSafeSpeed:
     def test_nonpositive_mu_plus_grade_rejected(self):
         with pytest.raises(ValueError):
             fhwa_safe_speed(0.1, -0.1, 100)
+        with pytest.raises(ValueError, match=r"^mu \+ grade must be > 0, got -0\.25$"):
+            fhwa_safe_speed(0.5, -0.75, 100)
 
     def test_negative_sight_rejected(self):
         with pytest.raises(ValueError):
