@@ -45,15 +45,15 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal(0.5, 0.0, 0.4, 0.6, rng)
 
-    # Windows of N(0, 1) on either side of the 1e-4 acceptance floor:
-    # [3.5, 4] holds 2.01e-4 of the mass, [3.6, 3.7] holds 5.13e-5.
+    # Windows of N(1, 1) on either side of the 1e-4 acceptance floor:
+    # [4.5, 5] holds 2.01e-4 of the mass, [4.6, 4.7] holds 5.13e-5.
     def test_window_just_above_the_acceptance_floor_draws(self):
-        draws = truncated_normal(0.0, 1.0, 3.5, 4.0, np.random.default_rng(0), 5)
-        assert ((3.5 <= draws) & (draws <= 4.0)).all()
+        draws = truncated_normal(1.0, 1.0, 4.5, 5.0, np.random.default_rng(0), 5)
+        assert ((4.5 <= draws) & (draws <= 5.0)).all()
 
     def test_window_just_below_the_acceptance_floor_errors(self):
         with pytest.raises(RuntimeError, match="5.13e-05 of the mass"):
-            truncated_normal(0.0, 1.0, 3.6, 3.7, np.random.default_rng(0))
+            truncated_normal(1.0, 1.0, 4.6, 4.7, np.random.default_rng(0))
 
     def test_empty_interval_rejected(self):
         rng = np.random.default_rng(0)
