@@ -214,10 +214,8 @@ def load_catalog(path: str | Path) -> BandCatalog:
     required = {"dimension", "label", "lower", "upper", "crash_rate"}
     if header is None or not required.issubset(header):
         raise ValueError(f"crash-rate config {path}: header must contain {sorted(required)}")
-    # dict(zip(header, row)) would keep only the last of a repeated column.
-    last = {name: i for i, name in enumerate(header)}
-    if repeated := [name for i, name in enumerate(header) if last[name] != i]:
-        raise ValueError(f"crash-rate config {path}: header repeats column {repeated[0]!r}")
+    if repeated := repeated_column(header, required):
+        raise ValueError(f"crash-rate config {path}: header repeats column {repeated!r}")
     for lineno, values in records:
         try:
             if len(values) != len(header):
@@ -245,6 +243,12 @@ def numbered_records(reader):
         start, end = end + 1, reader.line_num
         if fields:
             yield start, fields
+
+
+def repeated_column(header: list[str], names) -> str | None:
+    """The first of the names a reader reads that its header lists more than
+    once: reading rows by name would keep only the last such column."""
+    return next((name for name in header if name in names and header.count(name) > 1), None)
 
 
 def _band_cuts(bands: tuple[HazardBand, ...]) -> tuple[float, ...]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catalog,
-                    numbered_records, valid_readings)
+                    numbered_records, repeated_column, valid_readings)
 from .probability import joint_probability, normalize_marginals
 from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, assessment_record,
                         heatmap_rows, write_assessed, write_heatmap, write_joint, write_manifest,
@@ -195,9 +195,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 print("error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
                       file=sys.stderr)
                 return EXIT_NODATA
-            last = {name: i for i, name in enumerate(header)}
-            if repeated := [name for i, name in enumerate(header) if last[name] != i]:
-                print(f"error: {input_path}: header repeats column {repeated[0]!r}", file=sys.stderr)
+            if repeated := repeated_column(header, (
+                    "timestamp", "mu", "sight_ft", "grade", "design_speed")):
+                print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
             records = numbered_records(reader)
             blocks = iter(lambda: list(islice(records, BLOCK_ROWS)), [])

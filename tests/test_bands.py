@@ -258,6 +258,14 @@ class TestLoadCatalog:
             load_catalog(path)
         assert str(info.value) == f"crash-rate config {path}: header repeats column 'crash_rate'"
 
+    def test_repeated_unread_columns_load(self, catalog, tmp_path, default_rates_csv):
+        # Only the columns load_catalog reads must be named once.
+        lines = [f"{line},,,," for line in default_rates_csv.splitlines()]
+        lines[0] = lines[0].replace(",,,,", ",note,note,,")
+        path = tmp_path / "rates.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_catalog(path) == catalog
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "rates.csv"
         path.write_text("dimension,label,lower,upper\nfriction,Dry,0.7,0.9\n")

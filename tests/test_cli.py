@@ -418,6 +418,16 @@ class TestReplay:
         assert captured.out == ""
         assert captured.err == f"error: {src}: header repeats column 'mu'\n"
 
+    def test_repeated_unread_columns_replay(self, tmp_path, capsys):
+        # A spreadsheet export's trailing blank header cells repeat the name
+        # '', and two note columns repeat 'note': replay reads neither.
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft,note,note,,\nt0,0.8,5000,a,b,,\n")
+        assert main(["replay", "--input", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [r["timestamp"] for r in csv.DictReader(io.StringIO(captured.out))] == ["t0"]
+
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66
 
