@@ -81,8 +81,17 @@ def assess(
     profile = speed_profile(reading.mu, reading.grade, reading.sight_distance, reading.design_speed)
     s_score = score_severity(profile.reduction_pct)
     score = composite_risk(entry.probability_score, s_score)
-    return Assessment(reading, fband.label, vband.label, entry.normalized_joint,
-                      entry.probability_score, profile, s_score, score, risk_level(score))
+    return Assessment(
+        reading=reading,
+        friction_label=fband.label,
+        visibility_label=vband.label,
+        joint_probability=entry.normalized_joint,
+        probability_score=entry.probability_score,
+        speed_profile=profile,
+        severity_score=s_score,
+        risk_score=score,
+        risk_level=risk_level(score),
+    )
 
 
 def assess_columns(mu, sight_distance, grade, design_speed, catalog: BandCatalog,
@@ -93,16 +102,15 @@ def assess_columns(mu, sight_distance, grade, design_speed, catalog: BandCatalog
     each element equal to what assess() gives for that reading."""
     f = np.searchsorted(catalog._friction_cuts, mu, side="right")
     v = np.searchsorted(catalog._visibility_cuts, sight_distance, side="right")
-    f_bands, v_bands = catalog.friction_bands, catalog.sampling_visibility_bands
+    f_labels, v_labels = (np.array([b.label for b in bands], dtype=object)
+                          for bands in (catalog.friction_bands, catalog.sampling_visibility_bands))
     # Each scenario's joint entry, indexed [friction band][sensor band].
-    entries = [[joint_table.lookup(fb.label, vb.label) for vb in v_bands] for fb in f_bands]
+    entries = [[joint_table.lookup(fl, vl) for vl in v_labels] for fl in f_labels]
     joint = np.array([[e.normalized_joint for e in row] for row in entries])[f, v]
     p_score = np.array([[e.probability_score for e in row] for row in entries])[f, v]
     profile = speed_profiles(mu, grade, sight_distance, design_speed)
     s_score = np.searchsorted(_SEVERITY_EDGES, profile.reduction_pct, side="right") + 1
     score = p_score * s_score
-    f_labels, v_labels = (np.array([b.label for b in bands], dtype=object)
-                          for bands in (f_bands, v_bands))
     return {
         "friction_label": f_labels[f], "visibility_label": v_labels[v],
         "reading.mu": mu, "reading.sight_distance": sight_distance,
