@@ -1,6 +1,6 @@
 """Mutation testing of hazardrisk modules, standard library only.
 
-    python tools/mutate.py [--jobs N] [MODULE ...]
+    python tools/mutate.py [MODULE ...]
 
 MODULE names a file in src/hazardrisk (default: bands probability risk
 severity sampler). Each mutant changes one node of the module's syntax tree:
@@ -8,8 +8,10 @@ a comparison (< and <=, > and >=, == and !=), an arithmetic operator (+ and -,
 * and /, // to /, ** to *), bisect_left and bisect_right, side="left" and
 side="right", min and max (also numpy's minimum and maximum). The mutated
 module is written into a scratch copy of the repository and the tier-1 suite
-runs there, stopping at the first failure. A mutant the suite passes
-survives. Prints one line per mutant and exits 1 if any survived.
+runs there, stopping at the first failure; one copy per available CPU runs
+at a time. A mutant the suite passes survives. Survivors listed in
+tools/mutate_equivalent.txt change no behaviour a test could see; the
+script prints one line per mutant and exits 1 if any other mutant survived.
 """
 
 from __future__ import annotations
@@ -38,6 +40,22 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast
 FUNCTIONS = {"bisect_left": "bisect_right", "bisect_right": "bisect_left", "min": "max",
              "max": "min", "minimum": "maximum", "maximum": "minimum"}
 SIDES = {"left": "right", "right": "left"}
+EQUIVALENT = Path(__file__).with_name("mutate_equivalent.txt")
+
+
+def equivalent_mutants() -> set[str]:
+    """Mutants as this script prints them ("sampler.py:76 GtE -> Gt"), from
+    lines of EQUIVALENT; a "#" starts the reason."""
+    lines = (line.split("#")[0].strip() for line in EQUIVALENT.read_text().splitlines())
+    return {line for line in lines if line}
+
+
+def import_both_bisects(tree: ast.AST) -> None:
+    """Make `from bisect import ...` import both functions, so a swapped call
+    reaches the other one instead of failing with NameError."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "bisect":
+            node.names = [ast.alias("bisect_left"), ast.alias("bisect_right")]
 
 
 def mutations(tree: ast.AST):
@@ -100,12 +118,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("modules", nargs="*",
                         default=["bands", "probability", "risk", "severity", "sampler"])
-    parser.add_argument("--jobs", type=int, default=1, help="mutants tested at once")
     args = parser.parse_args(argv)
-    jobs, unparsed = [], {}
+    jobs, unparsed, equivalent = [], {}, equivalent_mutants()
     for name in args.modules:
         path = ROOT / "src" / "hazardrisk" / f"{name}.py"
         tree = ast.parse(path.read_text())
+        import_both_bisects(tree)
         unparsed[path] = ast.unparse(tree)
         for number, what, mutate in mutations(tree):
             mutant = copy.deepcopy(tree)
@@ -114,25 +132,30 @@ def main(argv: list[str] | None = None) -> int:
             jobs.append((path, f"{path.name}:{node.lineno} {what}", ast.unparse(mutant)))
     with tempfile.TemporaryDirectory() as scratch:
         copies: queue.Queue = queue.Queue()
-        for j in range(args.jobs):
+        workers = len(os.sched_getaffinity(0))
+        for j in range(workers):
             work = Path(scratch) / str(j)
             shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
                 ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*"))
-            # Mutants lose comments and layout: the baseline does too.
+            # Mutants lose comments and layout and import both bisects: the
+            # baseline does too.
             for path, source in unparsed.items():
                 (work / path.relative_to(ROOT)).write_text(source)
             copies.put(work)
         if not tier1(Path(scratch) / "0"):
             print("error: tier-1 fails on the unmutated sources", file=sys.stderr)
             return 2
-        survivors = 0
-        with ThreadPoolExecutor(args.jobs) as pool:
+        survivors = unexpected = 0
+        with ThreadPoolExecutor(workers) as pool:
             results = pool.map(lambda job: killed(job[0], job[2], copies), jobs)
             for (_, where, _), dead in zip(jobs, results):
-                print(f"{'killed' if dead else 'SURVIVED'} {where}", flush=True)
+                status = "killed" if dead else "equivalent" if where in equivalent else "SURVIVED"
+                print(f"{status} {where}", flush=True)
                 survivors += not dead
-    print(f"{len(jobs)} mutants, {len(jobs) - survivors} killed, {survivors} survived")
-    return 1 if survivors else 0
+                unexpected += status == "SURVIVED"
+    print(f"{len(jobs)} mutants, {len(jobs) - survivors} killed, {survivors} survived, "
+          f"{unexpected} not listed as equivalent")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
