@@ -14,8 +14,8 @@ from .probability import (JointProbabilityTable, MarginalDistribution, joint_pro
                           normalize_marginals, score_probability)
 from .risk import (Assessment, RiskLevel, assess, assess_columns, composite_risk, risk_level,
                    risk_matrix)
-from .sampler import (SamplerConfig, SampleSet, generate_dataset, scenario_statistics,
-                      truncated_normal)
+from .sampler import (SamplerConfig, SampleSet, generate_dataset, scenario_samples,
+                      scenario_statistics, truncated_normal)
 from .severity import (SpeedProfile, advisory_speed, fhwa_safe_speed, score_severity,
                        speed_profile)
 
@@ -25,6 +25,6 @@ __all__ = [
     "Scenario", "SpeedProfile", "advisory_speed", "assess", "assess_columns", "classify",
     "composite_risk", "default_catalog", "fhwa_safe_speed", "generate_dataset",
     "joint_probability", "load_catalog", "normalize_marginals", "risk_level", "risk_matrix",
-    "scenario_grid", "scenario_statistics", "score_probability", "score_severity",
-    "speed_profile", "truncated_normal",
+    "scenario_grid", "scenario_samples", "scenario_statistics", "score_probability",
+    "score_severity", "speed_profile", "truncated_normal",
 ]

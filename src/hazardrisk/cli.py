@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -28,7 +29,7 @@ from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, ass
                         heatmap_rows, write_assessed, write_heatmap, write_joint, write_manifest,
                         write_marginals, write_rows, write_samples, write_scenario_stats)
 from .risk import assess, assess_columns, risk_matrix
-from .sampler import SamplerConfig, generate_dataset, scenario_statistics
+from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -60,28 +61,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     catalog, table_source = _resolve_catalog(args.config)
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
     p_f, p_v, joint = _build_joint(catalog)
-    samples = generate_dataset(config, catalog)
-    records, grade, design = samples.records, args.grade, args.design_speed
-    # The first sample outside the domain raises, with the reading's message.
-    for i in np.flatnonzero(~valid_readings(records.mu, records.sight_ft, grade, design)):
-        EnvironmentReading(float(records.mu[i]), float(records.sight_ft[i]), grade, design)
-    risk_scores = []
+    grade, design = args.grade, args.design_speed
+    # The first draw outside the domain raises, with the reading's message,
+    # before any file is written; this pass keeps no draws.
+    for _, mu, sight in scenario_samples(config, catalog):
+        for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
+            EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
+    stats = []
 
     def scored_blocks():
-        for start in range(0, len(records), BLOCK_ROWS):
-            block = records[start:start + BLOCK_ROWS]
-            columns = assess_columns(block.mu, block.sight_ft, grade, design, catalog, joint)
-            risk_scores.append(columns["risk_score"])
-            yield block.scenario_id, columns
+        # One scenario at a time, drawn again: scored, written, then its stats row.
+        for scenario, mu, sight in scenario_samples(config, catalog):
+            scores = []
+            for start in range(0, len(mu), BLOCK_ROWS):
+                block = slice(start, start + BLOCK_ROWS)
+                columns = assess_columns(mu[block], sight[block], grade, design, catalog, joint)
+                scores.append(columns["risk_score"])
+                yield np.full(len(scores[-1]), scenario.scenario_id), columns
+            stats.append(scenario_stats(scenario, np.concatenate(scores)))
 
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         samples_rows = write_samples(out_dir / "samples.csv", scored_blocks())
-        stats = scenario_statistics(samples, np.concatenate(risk_scores))
         outputs = {
             "samples.csv": samples_rows,
-            "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv", stats),
+            "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv",
+                                                       by_mean_risk(stats)),
             "heatmap.csv": write_heatmap(out_dir / "heatmap.csv"),
             "marginals.csv": write_marginals(out_dir / "marginals.csv", catalog, p_f, p_v),
             "joint.csv": write_joint(out_dir / "joint.csv", joint),
@@ -241,8 +247,22 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with two changes, which its subcommand parsers share: a flag
+    value such as -1e-3, -inf or -nan is read as a number, not as an unknown
+    option; a usage error is one `error: ...` line and exit 64."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # argparse's own pattern knows only -1 and -1.5.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hazardrisk", description="Compound roadway-hazard risk scoring and scenario simulation")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,9 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the usage code
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    except SystemExit as exc:  # 0 after --help or --version, else EXIT_USAGE
+        return exc.code
     # The one place an invalid flag, reading or --config becomes exit 64;
     # commands handle only the errors that map to another code.
     try:

@@ -91,45 +91,47 @@ def truncated_normal(mean: float, sigma: float, lower: float, upper: float,
     return float(draws[0]) if size is None else draws
 
 
-def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
-    """Draw samples_per_scenario (mu, sight) pairs for each scenario of the
-    grid; friction comes from the scenario's friction band and sight
-    distance from the matching sensor-aligned visibility band.
-
-    Each scenario uses its own substream derived from (seed, scenario_id), so
-    the dataset is deterministic and scenarios are independent of each other.
-    """
-    scenarios = scenario_grid(catalog)
+def scenario_samples(config: SamplerConfig, catalog: BandCatalog):
+    """Yield (scenario, mu draws, sight draws) for each scenario of the grid:
+    samples_per_scenario friction draws from its friction band, then as many
+    from the matching sensor-aligned visibility band. Each scenario draws from
+    its own substream of (seed, scenario_id): deterministic and independent."""
     sampling_bands = {band.label: band for band in catalog.sampling_visibility_bands}
-    n = config.samples_per_scenario
-    mus, sights = [], []
-    for scenario in scenarios:
+    n, rule = config.samples_per_scenario, config.sigma_rule
+    for scenario in scenario_grid(catalog):
         rng = np.random.default_rng([config.seed, scenario.scenario_id])
-        fband = scenario.friction_band
-        vband = sampling_bands[scenario.visibility_band.label]
+        bands = scenario.friction_band, sampling_bands[scenario.visibility_band.label]
         # Mean at the band midpoint, sigma = band range / sigma_rule.
-        for band, draws in ((fband, mus), (vband, sights)):
-            sigma = (band.upper - band.lower) / config.sigma_rule
-            draws.append(truncated_normal(band.midpoint, sigma, band.lower, band.upper, rng, n))
-    ids = np.repeat([s.scenario_id for s in scenarios], n)
+        yield scenario, *(truncated_normal(b.midpoint, (b.upper - b.lower) / rule, b.lower,
+                                           b.upper, rng, n) for b in bands)
+
+
+def generate_dataset(config: SamplerConfig, catalog: BandCatalog) -> SampleSet:
+    """Every scenario's draws from scenario_samples, one block after another."""
+    scenarios, mus, sights = zip(*scenario_samples(config, catalog))
+    ids = np.repeat([s.scenario_id for s in scenarios], config.samples_per_scenario)
     columns = [ids, np.concatenate(mus), np.concatenate(sights)]
-    return SampleSet(tuple(scenarios), np.rec.fromarrays(columns, names="scenario_id,mu,sight_ft"))
+    return SampleSet(scenarios, np.rec.fromarrays(columns, names="scenario_id,mu,sight_ft"))
+
+
+def scenario_stats(scenario: Scenario, scores: np.ndarray) -> ScenarioStats:
+    """Risk statistics of one scenario's scores. The mean +- 3 sigma band is
+    clamped to the representable score range [1, 25] for reporting."""
+    scores = np.asarray(scores, dtype=float)
+    mean, std = float(scores.mean()), float(scores.std())
+    bounds = max(1.0, mean - 3 * std), min(25.0, mean + 3 * std)
+    return ScenarioStats(scenario, mean, std, *bounds, int(scores.min()), int(scores.max()))
+
+
+def by_mean_risk(stats) -> list[ScenarioStats]:
+    """Scenario statistics sorted ascending by mean risk, then scenario id."""
+    return sorted(stats, key=lambda s: (s.mean, s.scenario.scenario_id))
 
 
 def scenario_statistics(samples: SampleSet, risk_scores) -> list[ScenarioStats]:
-    """Per-scenario risk statistics, sorted ascending by mean risk.
-
-    risk_scores must align one-to-one with samples.records, so they come in
-    one contiguous block per scenario. The mean +- 3 sigma band is clamped to
-    the representable score range [1, 25] for reporting.
-    """
+    """scenario_stats of each scenario, sorted by_mean_risk. risk_scores must
+    align one-to-one with samples.records: one contiguous block per scenario."""
     if len(risk_scores) != len(samples.records):
         raise ValueError(f"expected {len(samples.records)} risk scores, got {len(risk_scores)}")
-    blocks = np.asarray(risk_scores, dtype=float).reshape(len(samples.scenarios), -1)
-    stats = []
-    for scenario, scores in zip(samples.scenarios, blocks):
-        mean, std = float(scores.mean()), float(scores.std())
-        bounds = max(1.0, mean - 3 * std), min(25.0, mean + 3 * std)
-        stats.append(ScenarioStats(scenario, mean, std, *bounds, int(scores.min()), int(scores.max())))
-    stats.sort(key=lambda s: (s.mean, s.scenario.scenario_id))
-    return stats
+    blocks = np.asarray(risk_scores).reshape(len(samples.scenarios), -1)
+    return by_mean_risk(map(scenario_stats, samples.scenarios, blocks))

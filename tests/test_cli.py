@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hazardrisk.cli
-from hazardrisk import (EnvironmentReading, assess, assess_columns, joint_probability,
-                        load_catalog, normalize_marginals)
+from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
+                        generate_dataset, joint_probability, load_catalog, normalize_marginals,
+                        scenario_statistics)
 from hazardrisk.cli import main
-from hazardrisk.reporting import SAMPLES_COLUMNS
+from hazardrisk.reporting import SAMPLES_COLUMNS, write_scenario_stats
 
 
 def read_csv(path):
@@ -139,6 +141,17 @@ class TestSimulate:
         for name in ("samples.csv", "scenario_stats.csv", "manifest.json"):
             whole = (tmp_path / "whole" / name).read_bytes()
             assert (tmp_path / "blocks" / name).read_bytes() == whole, name
+
+    def test_peak_memory_does_not_grow_with_the_sample_count(self, tmp_path):
+        # 320k samples: holding them all, or their scores, would take 20 MB.
+        assert main(["simulate", "--samples", "1", "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--samples", "20000", "--out", str(tmp_path / "big")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "blocked"
@@ -467,6 +480,44 @@ class TestMatrix:
         }
 
 
+class TestArguments:
+    def test_exponent_flag_value_reads_as_a_number(self, capsys):
+        outs = []
+        for grade in ("-1e-3", "-0.001"):
+            assert main(["assess", "--mu", "0.5", "--sight-ft", "100", "--grade", grade]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--mu", "0.5", "--sight-ft", "100", "--grade", "-inf"],
+        ["assess", "--mu", "0.5", "--sight-ft", "100", "--design-speed", "-inf"],
+        ["simulate", "--samples", "1", "--grade", "-inf"],
+        ["simulate", "--samples", "1", "--design-speed", "-inf"],
+        ["replay", "--input", "absent.csv", "--design-speed", "-inf"],
+    ])
+    def test_negative_infinity_flag_exits_64(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 64
+        name = argv[-2][2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got -inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--mu", "0.5"], ["assess", "--mu"], ["assess", "--mu", "x", "--sight-ft", "1"],
+        ["bogus"], [], ["matrix", "--format", "yaml"], ["matrix", "--extra"],
+    ])
+    def test_usage_error_is_one_line_and_exits_64(self, capsys, argv):
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["assess", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+
+
 class TestConfigOverride:
     def test_config_file_flag(self, tmp_path, capsys, default_rates_csv):
         path = tmp_path / "rates.csv"
@@ -583,6 +634,22 @@ class TestReorderedSensorBands:
         assert digest == "9c3ec8ef0c0c2b89d10d1de320cf9e09b6b3c2323a77b5cc24b470241fdf8b73"
 
 
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), n=st.integers(min_value=1, max_value=50))
+def test_simulate_streams_what_the_whole_dataset_gives(tmp_path, catalog, joint_table, seed, n):
+    assert main(["simulate", "--seed", str(seed), "--samples", str(n), "--out", str(tmp_path)]) == 0
+    samples = generate_dataset(SamplerConfig(seed=seed, samples_per_scenario=n), catalog)
+    records = samples.records
+    columns = assess_columns(records.mu, records.sight_ft, 0.0, 75.0, catalog, joint_table)
+    rows = read_csv(tmp_path / "samples.csv")
+    assert [(int(r["scenario_id"]), r["mu"], r["sight_ft"]) for r in rows] == [
+        (int(i), "%.6g" % mu, "%.6g" % sight) for i, mu, sight in records.tolist()]
+    expected = tmp_path / "expected_stats.csv"
+    write_scenario_stats(expected, scenario_statistics(samples, columns["risk_score"]))
+    assert (tmp_path / "scenario_stats.csv").read_bytes() == expected.read_bytes()
+
+
 # Log cells that float() reads in ways a hand-written parser might not:
 # blanks, underscores, spelled-out infinities, overflow, hex, subnormals.
 LOG_CELLS = st.one_of(
@@ -641,8 +708,7 @@ def _check_exit(rc, captured):
 
     assert rc in (0, 2, 64, 65, 66)
     if rc:
-        assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            captured.err.splitlines()[-1]], captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
         assert captured.out == ""
     else:
         json.loads(captured.out, parse_constant=reject)
@@ -651,10 +717,11 @@ def _check_exit(rc, captured):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flags=st.dictionaries(st.sampled_from(["mu", "sight-ft", "grade", "design-speed"]),
-                             EDGE_VALUES))
-def test_assess_flags_exit_with_a_documented_code(capsys, flags):
+                             EDGE_VALUES), joined=st.booleans())
+def test_assess_flags_exit_with_a_documented_code(capsys, flags, joined):
     argv = ["assess", "--mu", "0.5", "--sight-ft", "500"]
-    argv += [f"--{name}={value}" for name, value in flags.items()]
+    for name, value in flags.items():
+        argv += [f"--{name}={value}"] if joined else [f"--{name}", value]
     _check_exit(main(argv), capsys.readouterr())
 
 
