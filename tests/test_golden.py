@@ -3,14 +3,15 @@
 The sha256 of each file written by `hazardrisk simulate --seed 42` (default
 100 samples per scenario, grade 0, design speed 75 mph, built-in catalog),
 and of what `assess`, `matrix` and `replay` print (further down); also of
-`simulate` with a grade and design speed, and of labels and timestamps that
-CSV must quote. Any refactor of the engine, the sampler or the writers must reproduce them.
+`simulate` with a grade and design speed, of labels and timestamps that
+CSV must quote, and of `replay`'s warnings. Any refactor of the engine, the sampler or the writers must reproduce them.
 """
 
 import hashlib
 
 import pytest
 
+import hazardrisk.cli
 from hazardrisk.cli import main
 
 GOLDEN_SHA256 = {
@@ -145,3 +146,50 @@ def test_cli_stdout_matches_golden_digest(name, tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == CLI_GOLDEN_SHA256[name], out
+
+
+# A replay log with every reason replay skips a row: empty mu and sight_ft
+# cells, unparseable tokens, nan and inf, mu outside (0, 1], a negative sight
+# distance, mu + grade <= 0, a short and a long row; a blank line and two
+# timestamps that span two lines (records on lines 6-7 and 17-18).
+SKIP_REASONS_LOG = (
+    "timestamp,mu,sight_ft,grade,design_speed\n"
+    "t0,0.8,5000,,\n"
+    "t1,,100,,\n"
+    "t2,0.5,,0.01,\n"
+    "\n"
+    '"t\n3",abc,100,,\n'
+    "t4,nan,100,,\n"
+    "t5,0.5,inf,,\n"
+    "t6,1.5,100,,\n"
+    "t7,0.5,-1,,\n"
+    "t8,0.1,100,-0.2,\n"
+    "t9,0.5\n"
+    "t10,0.5,100,0,75,9\n"
+    "t11,0.3,700,x,55\n"
+    "t12,0.3,700,0.02,nan\n"
+    '"t\n13",0.25,582,0.02,\n'
+    "t14,0,12345.678,,65.5\n"
+    "t15,0.55,12345.678,,65.5\n"
+)
+SKIP_REASONS_SHA256 = {
+    "stdout": "7553a58341bf73d4f21d4205120113b7bc4daf5d38515df1f582b92228b1834a",
+    "stderr": "6a1868b2196ab2471dde89a615593df1468f88103fc457b6968f64dad2d3c508",
+}
+
+
+def test_replay_skip_reasons_match_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+    log = tmp_path / "log.csv"
+    log.write_text(SKIP_REASONS_LOG)
+    assert main(["replay", "--input", str(log)]) == 0
+    captured = capsys.readouterr()
+    assert "warning: line 3: skipped (could not convert string to float: '')\n" in captured.err
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for name, text in [("stdout", captured.out), ("stderr", captured.err)]}
+    assert digests == SKIP_REASONS_SHA256, captured
+    # Blocks of 3 records: the blank line and a multi-line record fall at a
+    # block boundary.
+    monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+    assert main(["replay", "--input", str(log)]) == 0
+    assert capsys.readouterr() == captured
