@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import pairwise, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -208,15 +210,18 @@ def load_catalog(path: str | Path) -> BandCatalog:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header, records = next(reader, None), list(numbered_records(reader))
+            records = list(numbered_records(reader))
         except csv.Error as exc:
             raise ValueError(f"crash-rate config {path} line {reader.line_num}: {exc}") from exc
+    header = records[0][0] if records else None
     required = {"dimension", "label", "lower", "upper", "crash_rate"}
     if header is None or not required.issubset(header):
         raise ValueError(f"crash-rate config {path}: header must contain {sorted(required)}")
     if repeated := repeated_column(header, required):
         raise ValueError(f"crash-rate config {path}: header repeats column {repeated!r}")
-    for lineno, values in records:
+    for (_, previous_end), (values, _) in pairwise(records):
+        if not values:
+            continue
         try:
             if len(values) != len(header):
                 raise ValueError("field count differs from header")
@@ -226,7 +231,7 @@ def load_catalog(path: str | Path) -> BandCatalog:
                 raise ValueError(f"unknown dimension {dim!r}")
             bounds_and_rate = [float(row[name]) for name in ("lower", "upper", "crash_rate")]
         except ValueError as exc:
-            raise ValueError(f"crash-rate config {path} line {lineno}: {exc}") from exc
+            raise ValueError(f"crash-rate config {path} line {previous_end + 1}: {exc}") from exc
         groups[dim].append((row["label"].strip(), *bounds_and_rate))
     for dim, rows in groups.items():
         if not rows:
@@ -236,13 +241,10 @@ def load_catalog(path: str | Path) -> BandCatalog:
 
 
 def numbered_records(reader):
-    """(line, fields) for each non-blank record of a csv.reader, where line is
-    the physical line the record starts on (a quoted field may span lines)."""
-    end = reader.line_num
-    for fields in reader:
-        start, end = end + 1, reader.line_num
-        if fields:
-            yield start, fields
+    """(fields, line) for each record of a csv.reader, blank lines' [] included,
+    where line is the physical line the record ends on. A record starts on the
+    line after its predecessor ends: a quoted field may span lines."""
+    return zip(reader, map(attrgetter("line_num"), repeat(reader)))
 
 
 def repeated_column(header: list[str], names) -> str | None:

@@ -63,10 +63,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p_f, p_v, joint = _build_joint(catalog)
     grade, design = args.grade, args.design_speed
     # The first draw outside the domain raises, with the reading's message,
-    # before any file is written; this pass keeps no draws.
-    for _, mu, sight in scenario_samples(config, catalog):
-        for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
-            EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
+    # before any file is written; this pass keeps no draws. It is skipped when
+    # a reading at the lowest friction bound is valid: draws stay in their
+    # bands, sensor bands start at >= 0 ft and the domain is monotone in mu.
+    lo = catalog.friction_bands[0].lower
+    if not (lo > 0 and valid_readings(lo, 0.0, grade, design)):
+        for _, mu, sight in scenario_samples(config, catalog):
+            for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
+                EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
     stats = []
 
     def scored_blocks():
@@ -122,35 +126,46 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _to_float(text) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan  # outside the domain: the row is then parsed alone for its message
+def _float_column(texts, default) -> list[float]:
+    """float() of each text, `default` for a blank one, NaN where float() raises."""
+    values, rest = [], map({"": default}.get, texts, texts)
+    while True:  # the texts between two rejected ones are parsed in one pass
+        try:
+            values.extend(map(float, rest))
+            return values
+        except ValueError:
+            values.append(math.nan)  # outside the domain: the row is then parsed alone for its message
 
 
-def _valid_columns(block, header: list[str], design_speed: float) -> list[np.ndarray]:
-    """(timestamp, mu, sight, grade, design speed) of the valid readings in a
-    block of numbered log records. Rows whose field count differs from the
-    header are skipped first; then each row the domain mask rejects is parsed
-    and checked alone, for its message. Warnings go out in line order."""
-    rows = [(line, row) for line, row in block if len(row) == len(header)]
-    warnings = [(line, "field count differs from header")
-                for line, row in block if len(row) != len(header)]
-    fields = dict(zip(header, zip(*(row for _, row in rows))))
+def _valid_blocks(reader, header: list[str], design_speed: float):
+    """(timestamp, mu, sight, grade, design speed) of the valid readings in each
+    block of BLOCK_ROWS log records. Blank lines are skipped; a row not as wide
+    as the header is skipped with a warning, as is each row the domain mask
+    rejects, parsed alone for its message. Warnings go out in line order."""
     # An empty grade or design_speed cell, or no such column, takes the default.
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
-    texts = [(fields.get(name, [d] * len(rows)), d) for name, d in defaults.items()]
-    values = [np.array([_to_float(t or d) for t in column], dtype=float) for column, d in texts]
-    ok = valid_readings(*values)
-    for i in np.flatnonzero(~ok):
-        try:
-            EnvironmentReading(*(float(column[i] or d) for column, d in texts))
-        except ValueError as exc:
-            warnings.append((rows[i][0], exc))
-    for line, reason in sorted(warnings, key=itemgetter(0)):
-        print(f"warning: line {line}: skipped ({reason})", file=sys.stderr)
-    return [np.array(fields.get("timestamp", ()), dtype=object)[ok], *(v[ok] for v in values)]
+    records, end = numbered_records(reader), reader.line_num
+    while block := list(islice(records, BLOCK_ROWS)):
+        rows, ends = zip(*block)
+        starts, end = (end, *ends), ends[-1]  # row i starts on line starts[i] + 1
+        kept, warnings = range(len(rows)), []
+        if set(map(len, rows)) != {len(header)}:
+            kept = [i for i, row in enumerate(rows) if len(row) == len(header)]
+            warnings = [(i, "field count differs from header")
+                        for i, row in enumerate(rows) if row and len(row) != len(header)]
+            rows = [rows[i] for i in kept]
+        fields = dict(zip(header, zip(*rows)))
+        texts = [(fields.get(name, (d,) * len(rows)), d) for name, d in defaults.items()]
+        values = [np.array(_float_column(column, d)) for column, d in texts]
+        ok = valid_readings(*values)
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                EnvironmentReading(*(float(column[i] or d) for column, d in texts))
+            except ValueError as exc:
+                warnings.append((kept[i], exc))
+        sys.stderr.write("".join(f"warning: line {starts[i] + 1}: skipped ({reason})\n"
+                                 for i, reason in sorted(warnings, key=itemgetter(0))))
+        yield [np.array(fields.get("timestamp", ()), dtype=object)[ok], *(v[ok] for v in values)]
 
 
 @contextmanager
@@ -205,11 +220,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
                 print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
-            records = numbered_records(reader)
-            blocks = iter(lambda: list(islice(records, BLOCK_ROWS)), [])
-            valid = (_valid_columns(block, header, args.design_speed) for block in blocks)
             scored = ((stamps, assess_columns(*readings, catalog, joint))
-                      for stamps, *readings in valid if len(stamps))
+                      for stamps, *readings in _valid_blocks(reader, header, args.design_speed)
+                      if len(stamps))
             first = next(scored, None)
             if first is None:
                 print("error: no valid rows in input", file=sys.stderr)

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
 import stat
 import threading
 import tracemalloc
@@ -16,8 +18,10 @@ import hazardrisk.cli
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
                         generate_dataset, joint_probability, load_catalog, normalize_marginals,
                         scenario_statistics)
-from hazardrisk.cli import main
+from hazardrisk.bands import valid_readings
+from hazardrisk.cli import _float_column, main
 from hazardrisk.reporting import SAMPLES_COLUMNS, write_scenario_stats
+from hazardrisk.sampler import scenario_samples
 
 
 def read_csv(path):
@@ -152,6 +156,18 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_check_pass_runs_only_when_a_draw_could_leave_the_domain(self, tmp_path, monkeypatch):
+        passes = []
+        monkeypatch.setattr(hazardrisk.cli, "scenario_samples",
+                            lambda *args: passes.append(1) or scenario_samples(*args))
+        # Icy's lowest draw, 0.05, is valid with grade 0: one pass, which scores.
+        assert main(["simulate", "--samples", "5", "--out", str(tmp_path / "a")]) == 0
+        assert len(passes) == 1
+        # mu + grade = 0 at 0.05: each draw is checked, then drawn again and scored.
+        assert main(["simulate", "--samples", "5", "--grade", "-0.05",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert len(passes) == 3
 
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "blocked"
@@ -648,6 +664,71 @@ def test_simulate_streams_what_the_whole_dataset_gives(tmp_path, catalog, joint_
     expected = tmp_path / "expected_stats.csv"
     write_scenario_stats(expected, scenario_statistics(samples, columns["risk_score"]))
     assert (tmp_path / "scenario_stats.csv").read_bytes() == expected.read_bytes()
+
+
+def _edges(upper, n):
+    """n distinct ascending whole numbers in [0, upper]."""
+    return st.lists(st.integers(0, upper), min_size=n, max_size=n, unique=True).map(sorted)
+
+
+@st.composite
+def _config_rows(draw):
+    """Crash-rate CSV text for 1-4 friction bands, with gaps or not, and 1-4
+    contiguous visibility bands, the same in both visibility sets."""
+    friction = draw(st.integers(1, 4).flatmap(lambda k: _edges(100, 2 * k)))
+    visibility = draw(st.integers(1, 4).flatmap(lambda k: _edges(6562, k + 1)))
+    rows = [f"friction,F{i},{lo / 100},{hi / 100},{i + 1}"
+            for i, (lo, hi) in enumerate(zip(friction[::2], friction[1::2]))]
+    for dim in ("visibility", "sampling_visibility"):
+        rows += [f"{dim},V{i},{lo},{hi},{i + 1}"
+                 for i, (lo, hi) in enumerate(zip(visibility, visibility[1:]))]
+    return "dimension,label,lower,upper,crash_rate\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rates=_config_rows(), grade=st.floats(-0.2, 0.2), seed=st.integers(0, 2**32 - 1))
+def test_simulate_exits_64_exactly_when_a_draw_leaves_the_domain(tmp_path, rates, grade, seed):
+    config, out = tmp_path / "rates.csv", tmp_path / "out"
+    config.write_text(rates)
+    shutil.rmtree(out, ignore_errors=True)
+    sampler = SamplerConfig(seed=seed, samples_per_scenario=40)
+    invalid = any(not valid_readings(mu, sight, grade, 75.0).all()
+                  for _, mu, sight in scenario_samples(sampler, load_catalog(config)))
+    rc = main(["simulate", "--seed", str(seed), "--samples", "40", "--grade", repr(grade),
+               "--config", str(config), "--out", str(out)])
+    # Had the check pass been skipped, an invalid draw would reach the writer:
+    # exit 0, or a failure after the directory was made.
+    assert (rc, out.exists()) == ((64, False) if invalid else (0, True))
+
+
+# Texts float() reads or rejects: reprs, blanks, padding, underscores,
+# non-ASCII digits and spelled-out nan and infinities.
+COLUMN_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " 0.3", "0.3 ", "\t1e3\n", "1_0", "\u0663.\u0665", "\uff11\uff12", "nan",
+                     "-NaN", "inf", "-Infinity", "1e400"]),
+)
+# Texts float() rejects.
+BAD_TEXTS = st.sampled_from(["abc", " ", "1e", "--", "0x1p-2", "0_.5", "1__0", "n/a", "\u0663x"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.one_of(COLUMN_TEXTS.map(lambda text: [text]),
+                               st.lists(BAD_TEXTS, min_size=1, max_size=4))),
+       first=st.lists(BAD_TEXTS, max_size=1), last=st.lists(BAD_TEXTS, max_size=1),
+       default=st.one_of(st.floats(), st.just("")))
+def test_float_column_reads_each_text_as_float_does(runs, first, last, default):
+    texts = first + [text for run in runs for text in run] + last
+
+    def expected(text):
+        try:
+            return float(text or default)
+        except ValueError:
+            return math.nan
+
+    values = _float_column(texts, default)
+    assert [repr(v) for v in values] == [repr(expected(text)) for text in texts]
 
 
 # Log cells that float() reads in ways a hand-written parser might not:
