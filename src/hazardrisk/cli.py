@@ -62,10 +62,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
     p_f, p_v, joint = _build_joint(catalog)
     grade, design = args.grade, args.design_speed
-    # The first draw outside the domain raises, with the reading's message,
-    # before any file is written; this pass keeps no draws. It is skipped when
-    # a reading at the lowest friction bound is valid: draws stay in their
-    # bands, sensor bands start at >= 0 ft and the domain is monotone in mu.
+    # A first pass raises at the first draw outside the domain, with the reading's
+    # message, before any file is written. Draws stay in their bands (sight >= 0) and
+    # the domain is monotone in mu, so a valid reading at the lowest friction bound skips it.
     lo = catalog.friction_bands[0].lower
     if not (lo > 0 and valid_readings(lo, 0.0, grade, design)):
         for _, mu, sight in scenario_samples(config, catalog):
@@ -128,7 +127,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 def _float_column(texts, default) -> list[float]:
     """float() of each text, `default` for a blank one, NaN where float() raises."""
-    values, rest = [], map({"": default}.get, texts, texts)
+    values, rest = [], map({"": default}.get, texts, texts) if "" in texts else iter(texts)
     while True:  # the texts between two rejected ones are parsed in one pass
         try:
             values.extend(map(float, rest))
@@ -146,8 +145,7 @@ def _valid_blocks(reader, header: list[str], design_speed: float):
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
     records, end = numbered_records(reader), reader.line_num
     while block := list(islice(records, BLOCK_ROWS)):
-        rows, ends = zip(*block)
-        starts, end = (end, *ends), ends[-1]  # row i starts on line starts[i] + 1
+        rows = list(map(itemgetter(0), block))
         kept, warnings = range(len(rows)), []
         if set(map(len, rows)) != {len(header)}:
             kept = [i for i, row in enumerate(rows) if len(row) == len(header)]
@@ -163,8 +161,10 @@ def _valid_blocks(reader, header: list[str], design_speed: float):
                 EnvironmentReading(*(float(column[i] or d) for column, d in texts))
             except ValueError as exc:
                 warnings.append((kept[i], exc))
-        sys.stderr.write("".join(f"warning: line {starts[i] + 1}: skipped ({reason})\n"
-                                 for i, reason in sorted(warnings, key=itemgetter(0))))
+        # Row i starts on the line after row i - 1 ends (for row 0, the previous block's last).
+        sys.stderr.write("".join(f"warning: line {(block[i - 1][1] if i else end) + 1}: skipped "
+                                 f"({reason})\n" for i, reason in sorted(warnings, key=itemgetter(0))))
+        end = block[-1][1]
         yield [np.array(fields.get("timestamp", ()), dtype=object)[ok], *(v[ok] for v in values)]
 
 

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 import hazardrisk.cli
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
                         generate_dataset, joint_probability, load_catalog, normalize_marginals,
-                        scenario_statistics)
+                        scenario_samples, scenario_statistics)
 from hazardrisk.bands import valid_readings
 from hazardrisk.cli import _float_column, main
 from hazardrisk.reporting import SAMPLES_COLUMNS, write_scenario_stats
-from hazardrisk.sampler import scenario_samples
 
 
 def read_csv(path):
