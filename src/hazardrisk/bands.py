@@ -2,10 +2,11 @@
 and the scenario grid.
 
 Two visibility catalogs coexist: the literature bands that carry crash rates
-(used for probability lookup) and the sensor-aligned bands that cover the
-instrument's full 33-6562 ft envelope (used for classifying readings and for
-sampling). The two share band labels and crash rates; the label is how
-probability scores attach to classified readings.
+(used for probability lookup) and the sensor-aligned bands that cover
+33-6500 ft without a gap, inside the 0-6562 ft bounds a visibility band may
+take (used for classifying readings and for sampling). The two share band
+labels and crash rates; the label is how probability scores attach to
+classified readings.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import pairwise, repeat
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -213,13 +214,13 @@ def load_catalog(path: str | Path) -> BandCatalog:
             records = list(numbered_records(reader))
         except csv.Error as exc:
             raise ValueError(f"crash-rate config {path} line {reader.line_num}: {exc}") from exc
-    header = records[0][0] if records else None
+    header = records[0][1] if records else None
     required = {"dimension", "label", "lower", "upper", "crash_rate"}
     if header is None or not required.issubset(header):
         raise ValueError(f"crash-rate config {path}: header must contain {sorted(required)}")
     if repeated := repeated_column(header, required):
         raise ValueError(f"crash-rate config {path}: header repeats column {repeated!r}")
-    for (_, previous_end), (values, _) in pairwise(records):
+    for before, values in records[1:]:
         if not values:
             continue
         try:
@@ -231,7 +232,7 @@ def load_catalog(path: str | Path) -> BandCatalog:
                 raise ValueError(f"unknown dimension {dim!r}")
             bounds_and_rate = [float(row[name]) for name in ("lower", "upper", "crash_rate")]
         except ValueError as exc:
-            raise ValueError(f"crash-rate config {path} line {previous_end + 1}: {exc}") from exc
+            raise ValueError(f"crash-rate config {path} line {before + 1}: {exc}") from exc
         groups[dim].append((row["label"].strip(), *bounds_and_rate))
     for dim, rows in groups.items():
         if not rows:
@@ -241,10 +242,11 @@ def load_catalog(path: str | Path) -> BandCatalog:
 
 
 def numbered_records(reader):
-    """(fields, line) for each record of a csv.reader, blank lines' [] included,
-    where line is the physical line the record ends on. A record starts on the
-    line after its predecessor ends: a quoted field may span lines."""
-    return zip(reader, map(attrgetter("line_num"), repeat(reader)))
+    """(line, fields) for each record of a csv.reader, blank lines' [] included,
+    where line is the last physical line before the record: the record starts on
+    line + 1 (a quoted field may span lines). zip reads line_num first, before
+    the reader advances to the record."""
+    return zip(map(attrgetter("line_num"), repeat(reader)), reader)
 
 
 def repeated_column(header: list[str], names) -> str | None:

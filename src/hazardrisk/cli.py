@@ -65,8 +65,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # A first pass raises at the first draw outside the domain, with the reading's
     # message, before any file is written. Draws stay in their bands (sight >= 0) and
     # the domain is monotone in mu, so a valid reading at the lowest friction bound skips it.
-    lo = catalog.friction_bands[0].lower
-    if not (lo > 0 and valid_readings(lo, 0.0, grade, design)):
+    if not valid_readings(catalog.friction_bands[0].lower, 0.0, grade, design):
         for _, mu, sight in scenario_samples(config, catalog):
             for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
                 EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
@@ -143,9 +142,9 @@ def _valid_blocks(reader, header: list[str], design_speed: float):
     rejects, parsed alone for its message. Warnings go out in line order."""
     # An empty grade or design_speed cell, or no such column, takes the default.
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
-    records, end = numbered_records(reader), reader.line_num
+    records = numbered_records(reader)
     while block := list(islice(records, BLOCK_ROWS)):
-        rows = list(map(itemgetter(0), block))
+        rows = list(map(itemgetter(1), block))
         kept, warnings = range(len(rows)), []
         if set(map(len, rows)) != {len(header)}:
             kept = [i for i, row in enumerate(rows) if len(row) == len(header)]
@@ -161,10 +160,8 @@ def _valid_blocks(reader, header: list[str], design_speed: float):
                 EnvironmentReading(*(float(column[i] or d) for column, d in texts))
             except ValueError as exc:
                 warnings.append((kept[i], exc))
-        # Row i starts on the line after row i - 1 ends (for row 0, the previous block's last).
-        sys.stderr.write("".join(f"warning: line {(block[i - 1][1] if i else end) + 1}: skipped "
-                                 f"({reason})\n" for i, reason in sorted(warnings, key=itemgetter(0))))
-        end = block[-1][1]
+        sys.stderr.write("".join(f"warning: line {block[i][0] + 1}: skipped ({reason})\n"
+                                 for i, reason in sorted(warnings, key=itemgetter(0))))
         yield [np.array(fields.get("timestamp", ()), dtype=object)[ok], *(v[ok] for v in values)]
 
 

@@ -12,9 +12,9 @@ import numpy as np
 from .bands import BandCatalog, Scenario, scenario_grid
 
 # Rejection sampling of a window holding less of the normal's mass is refused.
+# That bounds the rounds of a draw: its last accept alone takes about 1 / mass
+# rounds of one normal each, so at most about 1e4 on average.
 _MIN_ACCEPTANCE = 1e-4
-# Normals drawn per block, so a low acceptance rate cannot exhaust memory.
-_MAX_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ class ScenarioStats:
 def truncated_normal(mean: float, sigma: float, lower: float, upper: float,
                      rng: np.random.Generator, size: int | None = None):
     """Draws from N(mean, sigma) conditioned on [lower, upper], by rejection:
-    one float, or an array of `size`. rng advances exactly as far as drawing
-    one at a time would take it: a block that holds the last accept needed
-    is drawn again, from the same state, only up to that accept."""
+    one float, or an array of `size`. Each round draws as many normals as
+    accepts are still missing; one normal gives at most one accept, so rng
+    stops exactly where drawing one at a time would."""
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
     if sigma <= 0:
@@ -78,15 +78,9 @@ def truncated_normal(mean: float, sigma: float, lower: float, upper: float,
     need = 1 if size is None else size
     parts = [np.empty(0)]
     while need:
-        state = rng.bit_generator.state
-        x = rng.normal(mean, sigma, min(int(need / mass * 1.07) + 64, _MAX_BLOCK))
-        kept = np.flatnonzero((x >= lower) & (x <= upper))
-        if len(kept) >= need:
-            kept = kept[:need]
-            rng.bit_generator.state = state
-            rng.normal(mean, sigma, kept[-1] + 1)
-        parts.append(x[kept])
-        need -= len(kept)
+        x = rng.normal(mean, sigma, need)
+        parts.append(x[(x >= lower) & (x <= upper)])
+        need -= len(parts[-1])
     draws = np.concatenate(parts)
     return float(draws[0]) if size is None else draws
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hazardrisk import EnvironmentReading, HazardBand, classify, scenario_grid
-from hazardrisk.bands import Dimension, load_catalog, valid_readings
+from hazardrisk.bands import Dimension, load_catalog, numbered_records, valid_readings
 
 
 # Each field on both sides of its domain edge, then random floats.
@@ -279,3 +282,13 @@ class TestLoadCatalog:
         )
         with pytest.raises(ValueError):
             load_catalog(path)
+
+
+@pytest.mark.parametrize("block", [2, 5])
+def test_numbered_records_give_the_line_before_each_record(block):
+    # A header, a row, a blank line, a record whose quoted field spans lines
+    # 4-5, then a row on line 6; read in islice blocks, as replay reads them.
+    records, read = numbered_records(csv.reader(io.StringIO('a,b\n1,2\n\n"x\ny",3\n4,5\n'))), []
+    while chunk := list(islice(records, block)):
+        read += [(line + 1, fields) for line, fields in chunk]
+    assert read == [(1, ["a", "b"]), (2, ["1", "2"]), (3, []), (4, ["x\ny", "3"]), (6, ["4", "5"])]

@@ -384,6 +384,29 @@ class TestReplay:
         assert out.read_bytes() == b"earlier result\n"
         assert sorted(tmp_path.iterdir()) == [out, src]
 
+    def test_log_failing_after_the_first_block_leaves_out_path_as_it_was(
+            self, tmp_path, capsys, monkeypatch):
+        # The first block is scored and written before line 3 fails to parse.
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 1)
+        src = tmp_path / "readings.csv"
+        src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
+        out = tmp_path / "assessed.csv"
+        out.write_bytes(b"earlier result\n")
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 65
+        assert out.read_bytes() == b"earlier result\n"
+        assert sorted(tmp_path.iterdir()) == [out, src]
+
+    def test_out_with_another_link_is_written_through(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        out = tmp_path / "assessed.csv"
+        out.write_text("earlier result\n")
+        link = tmp_path / "link.csv"
+        os.link(out, link)
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
+        assert out.samefile(link)
+        assert [r["timestamp"] for r in read_csv(link)] == ["t0"]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_out_fifo_is_written_through(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"

@@ -12,7 +12,6 @@ from hazardrisk import (
     SamplerConfig,
     assess,
     generate_dataset,
-    sampler,
     scenario_statistics,
     truncated_normal,
 )
@@ -70,11 +69,18 @@ class TestTruncatedNormal:
         assert draws.tolist() == singles
         assert one.bit_generator.state == many.bit_generator.state
 
-    def test_draws_spanning_several_blocks_match_single_draws(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_MAX_BLOCK", 7)
+    def test_draws_spanning_several_rounds_match_single_draws(self):
         one, many = np.random.default_rng(8), np.random.default_rng(8)
         singles = [truncated_normal(0.8, 0.1, 0.7, 0.9, one) for _ in range(100)]
         assert truncated_normal(0.8, 0.1, 0.7, 0.9, many, 100).tolist() == singles
+        assert one.bit_generator.state == many.bit_generator.state
+
+    def test_array_draw_at_the_acceptance_floor_consumes_the_stream_like_single_draws(self):
+        # [4.5, 5] holds 2.01e-4 of N(1, 1), just above the floor. A round
+        # draws at most 5 normals, so the draw takes thousands of rounds.
+        one, many = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [truncated_normal(1.0, 1.0, 4.5, 5.0, one) for _ in range(5)]
+        assert truncated_normal(1.0, 1.0, 4.5, 5.0, many, 5).tolist() == singles
         assert one.bit_generator.state == many.bit_generator.state
 
     def test_size_zero_draws_nothing(self):

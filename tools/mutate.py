@@ -3,15 +3,15 @@
     python tools/mutate.py [MODULE ...]
 
 MODULE names a file in src/hazardrisk (default: bands probability risk
-severity sampler). Each mutant changes one node of the module's syntax tree:
-a comparison (< and <=, > and >=, == and !=), an arithmetic operator (+ and -,
-* and /, // to /, ** to *), bisect_left and bisect_right, side="left" and
-side="right", min and max (also numpy's minimum and maximum). The mutated
-module is written into a scratch copy of the repository and the tier-1 suite
-runs there, stopping at the first failure; one copy per available CPU runs
-at a time. A mutant the suite passes survives. Survivors listed in
-tools/mutate_equivalent.txt change no behaviour a test could see; the
-script prints one line per mutant and exits 1 if any other mutant survived.
+severity sampler cli reporting). Each mutant changes one node of the module's
+syntax tree: a comparison (< and <=, > and >=, == and !=), an arithmetic
+operator (+ and -, * and /, // to /, ** to *), bisect_left and bisect_right,
+side="left" and side="right", min and max (also numpy's minimum and maximum).
+The mutated module is written into a scratch copy of the repository and the
+tier-1 suite runs there, stopping at the first failure; one copy per available
+CPU runs at a time. A mutant the suite passes survives. Survivors listed in
+tools/mutate_equivalent.txt change no behaviour a test could see; the script
+prints one line per mutant and exits 1 if any other mutant survived.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import ast
 import copy
 import os
 import queue
+import resource
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,11 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutate.py"]
 # A mutant can make a loop run forever; past this many seconds it counts as killed.
 TIMEOUT_S = 300
+# A mutant can make an array grow without bound (a sampler that draws ever more
+# normals); past this much address space per process an allocation fails and
+# the mutant is killed, instead of taking the machine's memory. Tier-1 runs
+# within 1 GB.
+MEMORY_BYTES = 2 << 30
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
          ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div,
          ast.Div: ast.Mult, ast.FloorDiv: ast.Div, ast.Pow: ast.Mult}
@@ -136,8 +142,11 @@ def killed(module: Path, source: str, copies: queue.Queue) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("modules", nargs="*",
-                        default=["bands", "probability", "risk", "severity", "sampler"])
+                        default=["bands", "probability", "risk", "severity", "sampler", "cli",
+                                 "reporting"])
     args = parser.parse_args(argv)
+    # Every tier-1 run inherits the limit.
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
     jobs, unparsed, equivalent = [], {}, equivalent_mutants()
     for name in args.modules:
         path, tree = module_tree(name)
