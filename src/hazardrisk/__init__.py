@@ -12,12 +12,20 @@ from .bands import (BandCatalog, Dimension, EnvironmentReading, HazardBand, Scen
                     default_catalog, load_catalog, scenario_grid)
 from .probability import (JointProbabilityTable, MarginalDistribution, joint_probability,
                           normalize_marginals, score_probability)
-from .risk import (Assessment, RiskLevel, assess, assess_columns, composite_risk, risk_level,
-                   risk_matrix)
-from .sampler import (SamplerConfig, SampleSet, generate_dataset, scenario_samples,
-                      scenario_statistics, truncated_normal)
+from .risk import Assessment, RiskLevel, assess, composite_risk, risk_level, risk_matrix
 from .severity import (SpeedProfile, advisory_speed, fhwa_safe_speed, score_severity,
                        speed_profile)
+
+
+def __getattr__(name):
+    """The batch names of __all__, imported on first use (PEP 562): they load
+    numpy, which scoring one reading does not need."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import batch, sampler
+
+    return getattr(batch if name == "assess_columns" else sampler, name)
+
 
 __all__ = [
     "__version__", "Assessment", "BandCatalog", "Dimension", "EnvironmentReading", "HazardBand",

@@ -20,8 +20,6 @@ from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
-
 
 class Dimension(str, Enum):
     FRICTION = "friction"
@@ -78,15 +76,6 @@ class EnvironmentReading:
             raise ValueError(f"mu + grade must be > 0, got {self.mu + self.grade}")
         if self.design_speed <= 0:
             raise ValueError(f"design_speed must be > 0, got {self.design_speed}")
-
-
-def valid_readings(mu, sight_distance, grade, design_speed) -> np.ndarray:
-    """EnvironmentReading's domain over arrays: True where a reading is valid.
-    A rejected row goes through EnvironmentReading for its message."""
-    finite = np.isfinite(sight_distance) & np.isfinite(grade) & np.isfinite(design_speed)
-    with np.errstate(all="ignore"):
-        return finite & (0 < mu) & (mu <= 1) & (sight_distance >= 0) & (mu + grade > 0) & (
-            design_speed > 0)
 
 
 @dataclass(frozen=True)
@@ -208,7 +197,7 @@ def load_catalog(path: str | Path) -> BandCatalog:
     in {friction, visibility, sampling_visibility}.
     """
     groups: dict[str, list] = {"friction": [], "visibility": [], "sampling_visibility": []}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             records = list(numbered_records(reader))

@@ -19,17 +19,14 @@ from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
-import numpy as np
-
 from . import __version__
 from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catalog,
-                    numbered_records, repeated_column, valid_readings)
+                    numbered_records, repeated_column)
 from .probability import joint_probability, normalize_marginals
 from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, assessment_record,
                         heatmap_rows, write_assessed, write_heatmap, write_joint, write_manifest,
                         write_marginals, write_rows, write_samples, write_scenario_stats)
-from .risk import assess, assess_columns, risk_matrix
-from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+from .risk import assess, risk_matrix
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -58,6 +55,12 @@ def _build_joint(catalog: BandCatalog):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # numpy loads only in simulate and replay: assess and matrix start without it.
+    import numpy as np
+
+    from .batch import assess_columns, valid_readings
+    from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+
     catalog, table_source = _resolve_catalog(args.config)
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
     p_f, p_v, joint = _build_joint(catalog)
@@ -135,11 +138,15 @@ def _float_column(texts, default) -> list[float]:
             values.append(math.nan)  # outside the domain: the row is then parsed alone for its message
 
 
-def _valid_blocks(reader, header: list[str], design_speed: float):
-    """(timestamp, mu, sight, grade, design speed) of the valid readings in each
-    block of BLOCK_ROWS log records. Blank lines are skipped; a row not as wide
-    as the header is skipped with a warning, as is each row the domain mask
-    rejects, parsed alone for its message. Warnings go out in line order."""
+def _scored_blocks(reader, header: list[str], design_speed: float, catalog, joint):
+    """(timestamps, assess_columns result) of the valid readings in each block
+    of BLOCK_ROWS log records that has one. Blank lines are skipped; a row not
+    as wide as the header is skipped with a warning, as is each row the domain
+    mask rejects, parsed alone for its message. Warnings go out in line order."""
+    import numpy as np
+
+    from .batch import assess_columns, valid_readings
+
     # An empty grade or design_speed cell, or no such column, takes the default.
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
     records = numbered_records(reader)
@@ -162,7 +169,9 @@ def _valid_blocks(reader, header: list[str], design_speed: float):
                 warnings.append((kept[i], exc))
         sys.stderr.write("".join(f"warning: line {block[i][0] + 1}: skipped ({reason})\n"
                                  for i, reason in sorted(warnings, key=itemgetter(0))))
-        yield [np.array(fields.get("timestamp", ()), dtype=object)[ok], *(v[ok] for v in values)]
+        if ok.any():
+            yield (np.array(fields.get("timestamp", ()), dtype=object)[ok],
+                   assess_columns(*(v[ok] for v in values), catalog, joint))
 
 
 @contextmanager
@@ -206,7 +215,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _, _, joint = _build_joint(catalog)
 
     try:
-        with open(input_path, newline="", encoding="utf-8") as fh:
+        with open(input_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or not {"timestamp", "mu", "sight_ft"}.issubset(header):
@@ -217,9 +226,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
                 print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
-            scored = ((stamps, assess_columns(*readings, catalog, joint))
-                      for stamps, *readings in _valid_blocks(reader, header, args.design_speed)
-                      if len(stamps))
+            scored = _scored_blocks(reader, header, args.design_speed, catalog, joint)
             first = next(scored, None)
             if first is None:
                 print("error: no valid rows in input", file=sys.stderr)

@@ -12,14 +12,14 @@ import json
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .bands import BandCatalog
 from .probability import JointEntry, JointProbabilityTable, MarginalDistribution
 from .risk import Assessment, risk_matrix
-from .sampler import ScenarioStats
+
+if TYPE_CHECKING:
+    from .sampler import ScenarioStats
 
 # The assessment and scenario-stats tables are each declared once, as output
 # name -> dotted attribute of the record it reads, in output order; the header
@@ -71,8 +71,8 @@ HEATMAP_COLUMNS = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
 
 
 # Every table is written through one % template per chunk of columns, chosen
-# by dtype kind: floats at 6 significant digits, integers in full, text
-# (held as objects) as the csv module quotes it.
+# by format kind (a numpy dtype kind): floats at 6 significant digits,
+# integers in full, text as the csv module quotes it.
 _CELL_FORMATS = {"f": "%.6g", "i": "%d", "O": "%s"}
 # Every character that can make the csv module quote a field.
 _QUOTE_TRIGGERS = ',"\r\n'
@@ -85,24 +85,29 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-1]
 
 
-def write_columns(stream: TextIO, columns: list[np.ndarray]) -> int:
-    """Write rows given as equal-length columns; returns the number of rows."""
-    template = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns) + "\n"
-    cells = [column.tolist() for column in columns]
-    for i, column in enumerate(columns):
-        text = "".join(cells[i]) if column.dtype.kind == "O" else ""
+def write_columns(stream: TextIO, columns: list[list], kinds: list[str]) -> int:
+    """Write rows given as equal-length lists of cells, with the format kind
+    of each list; returns the number of rows."""
+    template = ",".join(_CELL_FORMATS[kind] for kind in kinds) + "\n"
+    cells = list(columns)
+    for i, kind in enumerate(kinds):
+        text = "".join(cells[i]) if kind == "O" else ""
         if any(c in text for c in _QUOTE_TRIGGERS):
             cells[i] = list(map(_csv_field, cells[i]))
     stream.write("".join(map(template.__mod__, zip(*cells))))
-    return len(columns[0])
+    return len(cells[0])
 
 
 def write_rows(stream: TextIO, header: list[str], rows: Iterable) -> int:
     """Write a header and rows of floats, ints and strings as LF-terminated
-    CSV to an open text stream; returns the number of data rows."""
+    CSV to an open text stream; returns the number of data rows. A column is
+    written as np.array would type it: text if its first cell is a str, else
+    float if any cell is one, else int."""
     stream.write(",".join(header) + "\n")
-    columns = [np.array(c, dtype=object if isinstance(c[0], str) else None) for c in zip(*rows)]
-    return write_columns(stream, columns) if columns else 0
+    columns = list(zip(*rows))
+    kinds = ["O" if isinstance(c[0], str) else "f" if any(isinstance(x, float) for x in c)
+             else "i" for c in columns]
+    return write_columns(stream, columns, kinds) if columns else 0
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
@@ -116,7 +121,9 @@ def write_assessed(stream: TextIO, header: list[str], blocks: Iterable) -> int:
     result). Returns the number of rows."""
     stream.write(",".join(header) + "\n")
     paths = [ASSESSMENT_FIELDS[name] for name in ASSESSMENT_COLUMNS]
-    return sum(write_columns(stream, [keys, *(columns[p] for p in paths)]) for keys, columns in blocks)
+    arrays = ([keys, *(columns[p] for p in paths)] for keys, columns in blocks)
+    return sum(write_columns(stream, [a.tolist() for a in block], [a.dtype.kind for a in block])
+               for block in arrays)
 
 
 def assessment_record(assessment: Assessment) -> dict:
@@ -124,7 +131,7 @@ def assessment_record(assessment: Assessment) -> dict:
     return dict(zip(ASSESSMENT_FIELDS, _assessment_values(assessment)))
 
 
-def write_samples(path: Path, blocks: Iterable[tuple[np.ndarray, dict]]) -> int:
+def write_samples(path: Path, blocks: Iterable[tuple]) -> int:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         return write_assessed(fh, SAMPLES_COLUMNS, blocks)
 

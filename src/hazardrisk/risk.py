@@ -6,11 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .bands import BandCatalog, EnvironmentReading, classify
 from .probability import JointProbabilityTable
-from .severity import _SEVERITY_EDGES, SpeedProfile, score_severity, speed_profile, speed_profiles
+from .severity import SpeedProfile, score_severity, speed_profile
 
 
 class RiskLevel(str, Enum):
@@ -23,7 +21,6 @@ class RiskLevel(str, Enum):
 
 # Levels in score order; each spans five composite scores, 1-5 up to 21-25.
 _LEVELS = tuple(RiskLevel)
-_LEVEL_NAMES = np.array([level.value for level in _LEVELS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -92,31 +89,3 @@ def assess(
         risk_score=score,
         risk_level=risk_level(score),
     )
-
-
-def assess_columns(mu, sight_distance, grade, design_speed, catalog: BandCatalog,
-                   joint_table: JointProbabilityTable) -> dict[str, np.ndarray]:
-    """assess() over arrays of valid readings (see valid_readings); grade and
-    design speed may be scalars. Returns a column per Assessment attribute,
-    keyed by its dotted path ("speed_profile.v_fhwa", "risk_level.value"),
-    each element equal to what assess() gives for that reading."""
-    f = np.searchsorted(catalog._friction_cuts, mu, side="right")
-    v = np.searchsorted(catalog._visibility_cuts, sight_distance, side="right")
-    f_labels, v_labels = (np.array([b.label for b in bands], dtype=object)
-                          for bands in (catalog.friction_bands, catalog.sampling_visibility_bands))
-    # Each scenario's joint entry, indexed [friction band][sensor band].
-    entries = [[joint_table.lookup(fl, vl) for vl in v_labels] for fl in f_labels]
-    joint = np.array([[e.normalized_joint for e in row] for row in entries])[f, v]
-    p_score = np.array([[e.probability_score for e in row] for row in entries])[f, v]
-    profile = speed_profiles(mu, grade, sight_distance, design_speed)
-    s_score = np.searchsorted(_SEVERITY_EDGES, profile.reduction_pct, side="right") + 1
-    score = p_score * s_score
-    return {
-        "friction_label": f_labels[f], "visibility_label": v_labels[v],
-        "reading.mu": mu, "reading.sight_distance": sight_distance,
-        "reading.grade": grade, "reading.design_speed": design_speed,
-        "joint_probability": joint, "probability_score": p_score,
-        **{f"speed_profile.{name}": value for name, value in vars(profile).items()},
-        "severity_score": s_score, "risk_score": score,
-        "risk_level.value": _LEVEL_NAMES[(score - 1) // 5],
-    }

@@ -7,8 +7,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 # Lower edges of severity scores 2-5 on percent speed reduction; bins are
 # left-closed.
 _SEVERITY_EDGES = (6.67, 20.0, 100.0 / 3.0, 200.0 / 3.0)
@@ -21,7 +19,7 @@ SPEED_SCALE = 15.0 / 22.0
 class SpeedProfile:
     """The advisory-speed chain: raw safe speed, scaled speed, final advisory
     capped at design speed, and percent reduction from design speed; floats
-    for one reading, arrays for many (see speed_profiles)."""
+    for one reading, arrays for many (see batch.speed_profiles)."""
 
     v_fhwa: float
     v_scaled: float
@@ -81,17 +79,3 @@ def score_severity(reduction_pct: float) -> int:
 def speed_profile(mu: float, grade: float, sight_distance: float, v_design: float) -> SpeedProfile:
     """Full advisory-speed chain for one reading."""
     return advisory_speed(fhwa_safe_speed(mu, grade, sight_distance), v_design)
-
-
-def speed_profiles(mu, grade, sight_distance, v_design) -> SpeedProfile:
-    """speed_profile over arrays of valid readings, as a SpeedProfile of
-    arrays; each element equals the scalar chain's float bit for bit."""
-    mg = mu + grade
-    with np.errstate(all="ignore"):  # overflow to inf is part of the chain, as in floats
-        v = textbook_safe_speed(mg, sight_distance, np.sqrt)
-        v = np.where(np.isfinite(v), v, fallback_safe_speed(mg, sight_distance, np.sqrt))
-        v_fhwa = np.maximum(v, 0.0)
-        v_scaled = SPEED_SCALE * v_fhwa
-        v_advisory = np.minimum(v_design, v_scaled)
-        reduction = np.minimum(100.0, np.maximum(0.0, 100.0 * (v_design - v_advisory) / v_design))
-    return SpeedProfile(v_fhwa, v_scaled, v_advisory, v_design, reduction)

@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hazardrisk import EnvironmentReading, HazardBand, classify, scenario_grid
-from hazardrisk.bands import Dimension, load_catalog, numbered_records, valid_readings
+from hazardrisk.bands import Dimension, load_catalog, numbered_records
+from hazardrisk.batch import valid_readings
 
 
 # Each field on both sides of its domain edge, then random floats.

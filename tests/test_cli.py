@@ -18,7 +18,7 @@ import hazardrisk.cli
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
                         generate_dataset, joint_probability, load_catalog, normalize_marginals,
                         scenario_samples, scenario_statistics)
-from hazardrisk.bands import valid_readings
+from hazardrisk.batch import valid_readings
 from hazardrisk.cli import _float_column, main
 from hazardrisk.reporting import SAMPLES_COLUMNS, write_scenario_stats
 
@@ -158,7 +158,7 @@ class TestSimulate:
 
     def test_check_pass_runs_only_when_a_draw_could_leave_the_domain(self, tmp_path, monkeypatch):
         passes = []
-        monkeypatch.setattr(hazardrisk.cli, "scenario_samples",
+        monkeypatch.setattr(hazardrisk.sampler, "scenario_samples",
                             lambda *args: passes.append(1) or scenario_samples(*args))
         # Icy's lowest draw, 0.05, is valid with grade 0: one pass, which scores.
         assert main(["simulate", "--samples", "5", "--out", str(tmp_path / "a")]) == 0
@@ -240,6 +240,18 @@ class TestReplay:
         ]
         assert int(rows[1]["risk_score"]) == 16
         assert rows[1]["risk_level"] == "High"
+
+    def test_log_with_byte_order_mark_scores_like_one_without(self, tmp_path, capsys):
+        # A spreadsheet's "CSV UTF-8" export starts with U+FEFF.
+        text = "timestamp,mu,sight_ft\nt0,0.25,582\nt1,0,100\nt2,0.8,5000\n"
+        outputs = []
+        for name, prefix in [("plain.csv", ""), ("bom.csv", "\ufeff")]:
+            src = tmp_path / name
+            src.write_text(prefix + text, encoding="utf-8")
+            assert main(["replay", "--input", str(src)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert "warning: line 3: skipped" in outputs[0].err
 
     def test_malformed_row_skipped_with_line_number(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -560,6 +572,13 @@ class TestConfigOverride:
     def test_config_file_flag(self, tmp_path, capsys, default_rates_csv):
         path = tmp_path / "rates.csv"
         path.write_text(default_rates_csv)
+        assert main(["assess", "--mu", "0.1", "--sight-ft", "150",
+                     "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["risk_score"] == 25
+
+    def test_config_with_byte_order_mark_loads(self, tmp_path, capsys, default_rates_csv):
+        path = tmp_path / "rates.csv"
+        path.write_text("\ufeff" + default_rates_csv, encoding="utf-8")
         assert main(["assess", "--mu", "0.1", "--sight-ft", "150",
                      "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["risk_score"] == 25

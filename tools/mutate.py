@@ -3,15 +3,16 @@
     python tools/mutate.py [MODULE ...]
 
 MODULE names a file in src/hazardrisk (default: bands probability risk
-severity sampler cli reporting). Each mutant changes one node of the module's
-syntax tree: a comparison (< and <=, > and >=, == and !=), an arithmetic
-operator (+ and -, * and /, // to /, ** to *), bisect_left and bisect_right,
-side="left" and side="right", min and max (also numpy's minimum and maximum).
-The mutated module is written into a scratch copy of the repository and the
-tier-1 suite runs there, stopping at the first failure; one copy per available
-CPU runs at a time. A mutant the suite passes survives. Survivors listed in
-tools/mutate_equivalent.txt change no behaviour a test could see; the script
-prints one line per mutant and exits 1 if any other mutant survived.
+severity batch sampler cli reporting). Each mutant changes one node of the
+module's syntax tree: a comparison (< and <=, > and >=, == and !=), an
+arithmetic operator (+ and -, * and /, // to /, ** to *), bisect_left and
+bisect_right, side="left" and side="right", min and max (also numpy's minimum
+and maximum). The mutated module is written into a scratch copy of the
+repository and the tier-1 suite runs there, stopping at the first failure; one
+copy per available CPU runs at a time. A mutant the suite passes survives.
+Survivors listed in tools/mutate_equivalent.txt change no behaviour a test
+could see; the script prints one line per mutant and exits 1 if any other
+mutant survived.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def killed(module: Path, source: str, copies: queue.Queue) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("modules", nargs="*",
-                        default=["bands", "probability", "risk", "severity", "sampler", "cli",
-                                 "reporting"])
+                        default=["bands", "probability", "risk", "severity", "batch", "sampler",
+                                 "cli", "reporting"])
     args = parser.parse_args(argv)
     # Every tier-1 run inherits the limit.
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
