@@ -66,12 +66,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p_f, p_v, joint = _build_joint(catalog)
     grade, design = args.grade, args.design_speed
     # A first pass raises at the first draw outside the domain, with the reading's
-    # message, before any file is written. Draws stay in their bands (sight >= 0) and
-    # the domain is monotone in mu, so a valid reading at the lowest friction bound skips it.
-    if not valid_readings(catalog.friction_bands[0].lower, 0.0, grade, design):
-        for _, mu, sight in scenario_samples(config, catalog):
-            for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
-                EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
+    # message, before any file is written.
+    for _, mu, sight in scenario_samples(config, catalog):
+        for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
+            EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
     stats = []
 
     def scored_blocks():
@@ -129,7 +127,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 def _float_column(texts, default) -> list[float]:
     """float() of each text, `default` for a blank one, NaN where float() raises."""
-    values, rest = [], map({"": default}.get, texts, texts) if "" in texts else iter(texts)
+    values, rest = [], map({"": default}.get, texts, texts)
     while True:  # the texts between two rejected ones are parsed in one pass
         try:
             values.extend(map(float, rest))
@@ -152,12 +150,10 @@ def _scored_blocks(reader, header: list[str], design_speed: float, catalog, join
     records = numbered_records(reader)
     while block := list(islice(records, BLOCK_ROWS)):
         rows = list(map(itemgetter(1), block))
-        kept, warnings = range(len(rows)), []
-        if set(map(len, rows)) != {len(header)}:
-            kept = [i for i, row in enumerate(rows) if len(row) == len(header)]
-            warnings = [(i, "field count differs from header")
-                        for i, row in enumerate(rows) if row and len(row) != len(header)]
-            rows = [rows[i] for i in kept]
+        kept = [i for i, row in enumerate(rows) if len(row) == len(header)]
+        warnings = [(i, "field count differs from header")
+                    for i, row in enumerate(rows) if row and len(row) != len(header)]
+        rows = [rows[i] for i in kept]
         fields = dict(zip(header, zip(*rows)))
         texts = [(fields.get(name, (d,) * len(rows)), d) for name, d in defaults.items()]
         values = [np.array(_float_column(column, d)) for column, d in texts]
@@ -189,9 +185,12 @@ def _replay_output(path: str | None):
     whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
         old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
     )
-    target = Path(f"{path}.{os.getpid()}.tmp" if whole else path)
+    target = f"{path}.{os.getpid()}.tmp" if whole else path
+    # A temporary name that is already taken, even by a symlink, is an error:
+    # only a file this run created is written, renamed or removed.
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT | (os.O_EXCL if whole else os.O_TRUNC), 0o666)
     try:
-        with open(target, "w", newline="", encoding="utf-8") as out:
+        with open(fd, "w", newline="", encoding="utf-8") as out:
             yield out
         if whole:
             if old:
@@ -199,7 +198,7 @@ def _replay_output(path: str | None):
             os.replace(target, path)
     except BaseException:
         if whole:
-            target.unlink(missing_ok=True)
+            Path(target).unlink(missing_ok=True)
         raise
 
 
@@ -324,12 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # 0 after --help or --version, else EXIT_USAGE
         return exc.code
-    # The one place an invalid flag, reading or --config becomes exit 64;
-    # commands handle only the errors that map to another code.
+    # The one place an invalid flag, reading, --config or a run too large for
+    # memory becomes exit 64; commands handle only errors that map elsewhere.
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -27,6 +27,8 @@ class SamplerConfig:
     sigma_rule: float = 6.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_scenario < 1:
             raise ValueError("samples_per_scenario must be >= 1")
         # Below 0.01 a band holds < 0.4% of the mass: rejection could fail.

@@ -1,6 +1,24 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from hazardrisk import default_catalog, joint_probability, normalize_marginals
+
+
+def _load_reference():
+    # bench/reference.py restates the paper without importing hazardrisk; it
+    # is loaded from its file and never written.
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The one copy of the independent oracle: test modules take it with
+# `from conftest import reference`.
+reference = _load_reference()
 
 
 @pytest.fixture(scope="session")

@@ -156,17 +156,20 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_check_pass_runs_only_when_a_draw_could_leave_the_domain(self, tmp_path, monkeypatch):
-        passes = []
-        monkeypatch.setattr(hazardrisk.sampler, "scenario_samples",
-                            lambda *args: passes.append(1) or scenario_samples(*args))
-        # Icy's lowest draw, 0.05, is valid with grade 0: one pass, which scores.
-        assert main(["simulate", "--samples", "5", "--out", str(tmp_path / "a")]) == 0
-        assert len(passes) == 1
-        # mu + grade = 0 at 0.05: each draw is checked, then drawn again and scored.
-        assert main(["simulate", "--samples", "5", "--grade", "-0.05",
-                     "--out", str(tmp_path / "b")]) == 0
-        assert len(passes) == 3
+    def test_negative_seed_exits_64(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-1", "--samples", "1",
+                     "--out", str(tmp_path / "s")]) == 64
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_memory_failure_in_the_draws_exits_64(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(hazardrisk.sampler, "truncated_normal", no_memory)
+        assert main(["simulate", "--samples", "5", "--out", str(tmp_path / "s")]) == 64
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (tmp_path / "s").exists()
 
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "blocked"
@@ -444,6 +447,29 @@ class TestReplay:
         assert main(["replay", "--input", str(src), "--out", str(link)]) == 0
         assert link.is_symlink()
         assert [r["timestamp"] for r in read_csv(target)] == ["t0"]
+
+    @pytest.mark.parametrize("planted", ["symlink", "file"])
+    def test_taken_temporary_name_exits_2(self, tmp_path, capsys, planted):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        out = tmp_path / "assessed.csv"
+        out.write_bytes(b"earlier result\n")
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"not replay's\n")
+        taken = tmp_path / f"assessed.csv.{os.getpid()}.tmp"
+        if planted == "symlink":
+            taken.symlink_to(victim)
+        else:
+            taken.write_bytes(b"someone else's\n")
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert victim.read_bytes() == b"not replay's\n"
+        assert not out.is_symlink() and out.read_bytes() == b"earlier result\n"
+        if planted == "symlink":
+            assert taken.is_symlink() and taken.resolve() == victim.resolve()
+        else:
+            assert not taken.is_symlink() and taken.read_bytes() == b"someone else's\n"
+        assert sorted(tmp_path.iterdir()) == sorted([out, src, taken, victim])
 
     def test_out_file_keeps_its_mode(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"

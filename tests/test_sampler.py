@@ -1,12 +1,11 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference
 from hazardrisk import (
     EnvironmentReading,
     SamplerConfig,
@@ -129,6 +128,8 @@ class TestGenerateDataset:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SamplerConfig(samples_per_scenario=0)
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            SamplerConfig(seed=-1)
         # Too small to sample (band edges inside +-0.005 sigma) or non-finite.
         for sigma_rule in (0, 1e-9, 0.0099, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="sigma_rule"):
@@ -137,17 +138,8 @@ class TestGenerateDataset:
     def test_smallest_sigma_rule_accepted(self):
         assert SamplerConfig(sigma_rule=0.01).sigma_rule == 0.01
 
-
-def _load_reference():
-    # bench/reference.py restates the paper without importing hazardrisk.
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-reference = _load_reference()
+    def test_seed_zero_accepted(self):
+        assert SamplerConfig(seed=0).seed == 0
 
 
 @settings(max_examples=40, deadline=None)
