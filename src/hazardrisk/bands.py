@@ -203,6 +203,8 @@ def load_catalog(path: str | Path) -> BandCatalog:
             records = list(numbered_records(reader))
         except csv.Error as exc:
             raise ValueError(f"crash-rate config {path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"crash-rate config {path} is not UTF-8 text: {exc}") from exc
     header = records[0][1] if records else None
     required = {"dimension", "label", "lower", "upper", "crash_rate"}
     if header is None or not required.issubset(header):

@@ -125,15 +125,12 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _float_column(texts, default) -> list[float]:
-    """float() of each text, `default` for a blank one, NaN where float() raises."""
-    values, rest = [], map({"": default}.get, texts, texts)
-    while True:  # the texts between two rejected ones are parsed in one pass
-        try:
-            values.extend(map(float, rest))
-            return values
-        except ValueError:
-            values.append(math.nan)  # outside the domain: the row is then parsed alone for its message
+def _number(text: str, default) -> float:
+    """float() of text, or of `default` if text is blank; NaN where float() raises."""
+    try:
+        return float(text or default)
+    except ValueError:
+        return math.nan  # outside the domain: the row is then parsed alone for its message
 
 
 def _scored_blocks(reader, header: list[str], design_speed: float, catalog, joint):
@@ -149,24 +146,22 @@ def _scored_blocks(reader, header: list[str], design_speed: float, catalog, join
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
     records = numbered_records(reader)
     while block := list(islice(records, BLOCK_ROWS)):
-        rows = list(map(itemgetter(1), block))
-        kept = [i for i, row in enumerate(rows) if len(row) == len(header)]
-        warnings = [(i, "field count differs from header")
-                    for i, row in enumerate(rows) if row and len(row) != len(header)]
-        rows = [rows[i] for i in kept]
-        fields = dict(zip(header, zip(*rows)))
-        texts = [(fields.get(name, (d,) * len(rows)), d) for name, d in defaults.items()]
-        values = [np.array(_float_column(column, d)) for column, d in texts]
+        kept = [(line, row) for line, row in block if len(row) == len(header)]
+        warnings = [(line, "field count differs from header")
+                    for line, row in block if row and len(row) != len(header)]
+        fields = dict(zip(header, zip(*(row for _, row in kept))))
+        texts = [(fields.get(name, (d,) * len(kept)), d) for name, d in defaults.items()]
+        values = [np.array([_number(text, d) for text in column]) for column, d in texts]
         ok = valid_readings(*values)
         for i in np.flatnonzero(~ok).tolist():
             try:
                 EnvironmentReading(*(float(column[i] or d) for column, d in texts))
             except ValueError as exc:
-                warnings.append((kept[i], exc))
-        sys.stderr.write("".join(f"warning: line {block[i][0] + 1}: skipped ({reason})\n"
-                                 for i, reason in sorted(warnings, key=itemgetter(0))))
+                warnings.append((kept[i][0], exc))
+        sys.stderr.write("".join(f"warning: line {line + 1}: skipped ({reason})\n"
+                                 for line, reason in sorted(warnings, key=itemgetter(0))))
         if ok.any():
-            yield (np.array(fields.get("timestamp", ()), dtype=object)[ok],
+            yield (np.array(fields["timestamp"], dtype=object)[ok],
                    assess_columns(*(v[ok] for v in values), catalog, joint))
 
 

@@ -30,7 +30,7 @@ class SamplerConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_scenario < 1:
-            raise ValueError("samples_per_scenario must be >= 1")
+            raise ValueError(f"samples_per_scenario must be >= 1, got {self.samples_per_scenario}")
         # Below 0.01 a band holds < 0.4% of the mass: rejection could fail.
         if not 0.01 <= self.sigma_rule < np.inf:
             raise ValueError(f"sigma_rule must be finite and >= 0.01, got {self.sigma_rule}")

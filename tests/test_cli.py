@@ -19,8 +19,8 @@ from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_column
                         generate_dataset, joint_probability, load_catalog, normalize_marginals,
                         scenario_samples, scenario_statistics)
 from hazardrisk.batch import valid_readings
-from hazardrisk.cli import _float_column, main
-from hazardrisk.reporting import SAMPLES_COLUMNS, write_scenario_stats
+from hazardrisk.cli import _number, main
+from hazardrisk.reporting import SAMPLES_COLUMNS, write_rows, write_scenario_stats
 
 
 def read_csv(path):
@@ -654,6 +654,20 @@ class TestConfigOverride:
         assert captured.err == (
             f"error: crash-rate config {path}: header repeats column 'crash_rate'\n")
 
+    @pytest.mark.parametrize("command", [["assess", "--mu", "0.5", "--sight-ft", "100"],
+                                         ["simulate", "--samples", "5", "--out", "out"]])
+    def test_config_that_is_not_utf8_exits_64_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                        default_rates_csv, command):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "rates.csv"
+        path.write_bytes(default_rates_csv.replace("Icy", "Ic\xff").encode("latin-1"))
+        assert main(command + ["--config", str(path)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: crash-rate config {path} is not UTF-8 text: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_inconsistent_config_exits_64(self, bad_rates_path, capsys):
         assert main(["assess", "--mu", "0.8", "--sight-ft", "5000",
                      "--config", str(bad_rates_path)]) == 64
@@ -733,6 +747,13 @@ def test_simulate_streams_what_the_whole_dataset_gives(tmp_path, catalog, joint_
     assert (tmp_path / "scenario_stats.csv").read_bytes() == expected.read_bytes()
 
 
+def test_write_rows_types_each_column_as_np_array_does():
+    # A column is float if any cell is, not only its first: 0.5 stays 0.5.
+    stream = io.StringIO()
+    assert write_rows(stream, ["a", "b", "c"], [[0, "x", 1], [0.5, "y", 2]]) == 2
+    assert stream.getvalue() == "a,b,c\n0,x,1\n0.5,y,2\n"
+
+
 def _edges(upper, n):
     """n distinct ascending whole numbers in [0, upper]."""
     return st.lists(st.integers(0, upper), min_size=n, max_size=n, unique=True).map(sorted)
@@ -785,7 +806,7 @@ BAD_TEXTS = st.sampled_from(["abc", " ", "1e", "--", "0x1p-2", "0_.5", "1__0", "
                                st.lists(BAD_TEXTS, min_size=1, max_size=4))),
        first=st.lists(BAD_TEXTS, max_size=1), last=st.lists(BAD_TEXTS, max_size=1),
        default=st.one_of(st.floats(), st.just("")))
-def test_float_column_reads_each_text_as_float_does(runs, first, last, default):
+def test_number_reads_each_text_as_float_does(runs, first, last, default):
     texts = first + [text for run in runs for text in run] + last
 
     def expected(text):
@@ -794,7 +815,7 @@ def test_float_column_reads_each_text_as_float_does(runs, first, last, default):
         except ValueError:
             return math.nan
 
-    values = _float_column(texts, default)
+    values = [_number(text, default) for text in texts]
     assert [repr(v) for v in values] == [repr(expected(text)) for text in texts]
 
 

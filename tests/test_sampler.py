@@ -126,7 +126,7 @@ class TestGenerateDataset:
             assert vband.lower <= record.sight_ft <= vband.upper
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"samples_per_scenario must be >= 1, got 0"):
             SamplerConfig(samples_per_scenario=0)
         with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
             SamplerConfig(seed=-1)
