@@ -13,19 +13,20 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
-from itertools import chain, islice
+from contextlib import contextmanager, suppress
+from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
 from . import __version__
 from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catalog,
-                    numbered_records, repeated_column)
+                    numbered_records, repeated_column, scenario_grid)
 from .probability import joint_probability, normalize_marginals
-from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, assessment_record,
-                        heatmap_rows, write_assessed, write_heatmap, write_joint, write_manifest,
-                        write_marginals, write_rows, write_samples, write_scenario_stats)
+from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, SAMPLES_COLUMNS,
+                        assessed_text, assessment_record, heatmap_rows, write_assessed,
+                        write_heatmap, write_joint, write_manifest, write_marginals, write_rows,
+                        write_scenario_stats)
 from .risk import assess, risk_matrix
 
 EXIT_OK = 0
@@ -54,62 +55,158 @@ def _build_joint(catalog: BandCatalog):
     return p_f, p_v, joint_probability(p_f, p_v)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    # numpy loads only in simulate and replay: assess and matrix start without it.
+def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint, rank: int, size: int):
+    """(scenario, frame) for each BLOCK_ROWS block of the samples table, in
+    order. This process formats every size-th block from the rank-th: its
+    frame is (CSV text, risk scores); every other block's frame is None. Each
+    scenario is drawn again from its own stream, whichever process draws it."""
     import numpy as np
 
-    from .batch import assess_columns, valid_readings
-    from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+    from .batch import assess_columns
+    from .sampler import SamplerConfig, scenario_samples
 
-    catalog, table_source = _resolve_catalog(args.config)
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
-    p_f, p_v, joint = _build_joint(catalog)
-    grade, design = args.grade, args.design_speed
-    # A first pass raises at the first draw outside the domain, with the reading's
-    # message, before any file is written.
-    for _, mu, sight in scenario_samples(config, catalog):
-        for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
-            EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
-    stats = []
+    blocks = count()
+    for scenario, mu, sight in scenario_samples(config, catalog):
+        for start in range(0, len(mu), BLOCK_ROWS):
+            if next(blocks) % size != rank:
+                yield scenario, None
+                continue
+            block = slice(start, start + BLOCK_ROWS)
+            columns = assess_columns(mu[block], sight[block], args.grade, args.design_speed,
+                                     catalog, joint)
+            keys = np.full(len(columns["risk_score"]), scenario.scenario_id)
+            yield scenario, (assessed_text(keys, columns), columns["risk_score"])
 
-    def scored_blocks():
-        # One scenario at a time, drawn again: scored, written, then its stats row.
-        for scenario, mu, sight in scenario_samples(config, catalog):
-            scores = []
-            for start in range(0, len(mu), BLOCK_ROWS):
-                block = slice(start, start + BLOCK_ROWS)
-                columns = assess_columns(mu[block], sight[block], grade, design, catalog, joint)
-                scores.append(columns["risk_score"])
-                yield np.full(len(scores[-1]), scenario.scenario_id), columns
-            stats.append(scenario_stats(scenario, np.concatenate(scores)))
 
-    out_dir = Path(args.out)
+@contextmanager
+def _workers(args: argparse.Namespace, catalog: BandCatalog, joint, size: int):
+    """Fork workers 1 to size - 1 and yield [(pid, read end of its pipe)] by
+    rank; on exit close the read ends and reap every worker. Worker `rank`
+    pickles its frames of _sample_blocks into its own pipe, or the exception
+    that stopped it, and ends with os._exit."""
+    import fcntl
+    import pickle
+
+    workers = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        samples_rows = write_samples(out_dir / "samples.csv", scored_blocks())
-        outputs = {
-            "samples.csv": samples_rows,
-            "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv",
-                                                       by_mean_risk(stats)),
-            "heatmap.csv": write_heatmap(out_dir / "heatmap.csv"),
-            "marginals.csv": write_marginals(out_dir / "marginals.csv", catalog, p_f, p_v),
-            "joint.csv": write_joint(out_dir / "joint.csv", joint),
-        }
-        write_manifest(
-            out_dir / "manifest.json", "simulate", __version__,
-            config={
-                "seed": config.seed,
-                "samples_per_scenario": config.samples_per_scenario,
-                "sigma_rule": config.sigma_rule,
-                "design_speed_mph": args.design_speed,
-                "grade": args.grade,
-                "table_source": table_source,
-            },
-            outputs={**outputs, "manifest.json": 1},
-        )
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        for rank in range(1, size):
+            read_fd, write_fd = os.pipe()
+            # A 1 MB pipe holds several blocks: a worker runs ahead of the parent.
+            with suppress(AttributeError, OSError):
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    # A read end held open here would keep a pipe from
+                    # breaking when the parent closes its own.
+                    os.close(read_fd)
+                    for _, pipe in workers:
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        try:
+                            for _, frame in _sample_blocks(args, catalog, joint, rank, size):
+                                if frame:
+                                    pickle.dump(frame, pipe)
+                                    pipe.flush()
+                            code = 0
+                        except BaseException as exc:  # the parent raises it in order
+                            pipe.write(pickle.dumps(exc))
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        yield workers
+    finally:
+        for pid, pipe in workers:
+            pipe.close()  # a worker still writing stops at its next block
+            os.waitpid(pid, 0)
+
+
+def _received(worker, block: int):
+    """The next frame from a worker's pipe; an exception it sent is raised."""
+    import pickle
+
+    pid, pipe = worker
+    try:
+        frame = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"worker process {pid} ended before block {block}") from None
+    if isinstance(frame, BaseException):
+        raise frame
+    return frame
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    catalog, table_source = _resolve_catalog(args.config)
+    p_f, p_v, joint = _build_joint(catalog)
+    per_scenario = -(-args.samples // BLOCK_ROWS)
+    # Blocks go round-robin over this process and a worker per further CPU. A
+    # run whose scenarios fill no block stays serial: it costs less than a fork.
+    size = 1
+    if args.samples >= BLOCK_ROWS and hasattr(os, "sched_getaffinity"):
+        size = min(len(os.sched_getaffinity(0)), len(scenario_grid(catalog)) * per_scenario)
+    # Workers fork before numpy loads, while this process has one thread.
+    with _workers(args, catalog, joint, size) as workers:
+        # numpy loads only in simulate and replay: assess and matrix start without it.
+        import numpy as np
+
+        from .batch import valid_readings
+        from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+
+        config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
+        grade, design = args.grade, args.design_speed
+        # A first pass raises at the first draw outside the domain, with the
+        # reading's message, before any file is written.
+        for _, mu, sight in scenario_samples(config, catalog):
+            for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
+                EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
+        stats, scores = [], []
+
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(out_dir / "samples.csv", "w", newline="", encoding="utf-8") as out:
+                out.write(",".join(SAMPLES_COLUMNS) + "\n")
+                # Every block in order, each worker's as it sends them; a scenario's
+                # stats row is made once its last block is in.
+                blocks = _sample_blocks(args, catalog, joint, 0, size)
+                for k, (scenario, frame) in enumerate(blocks):
+                    text, block_scores = frame or _received(workers[k % size - 1], k)
+                    out.write(text)
+                    scores.append(block_scores)
+                    if (k + 1) % per_scenario == 0:
+                        stats.append(scenario_stats(scenario, np.concatenate(scores)))
+                        scores = []
+            outputs = {
+                "samples.csv": len(stats) * config.samples_per_scenario,
+                "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv",
+                                                           by_mean_risk(stats)),
+                "heatmap.csv": write_heatmap(out_dir / "heatmap.csv"),
+                "marginals.csv": write_marginals(out_dir / "marginals.csv", catalog, p_f, p_v),
+                "joint.csv": write_joint(out_dir / "joint.csv", joint),
+            }
+            write_manifest(
+                out_dir / "manifest.json", "simulate", __version__,
+                config={
+                    "seed": config.seed,
+                    "samples_per_scenario": config.samples_per_scenario,
+                    "sigma_rule": config.sigma_rule,
+                    "design_speed_mph": args.design_speed,
+                    "grade": args.grade,
+                    "table_source": table_source,
+                },
+                outputs={**outputs, "manifest.json": 1},
+            )
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_IO
     return EXIT_OK
 
 

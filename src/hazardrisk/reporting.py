@@ -85,17 +85,16 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-1]
 
 
-def write_columns(stream: TextIO, columns: list[list], kinds: list[str]) -> int:
-    """Write rows given as equal-length lists of cells, with the format kind
-    of each list; returns the number of rows."""
+def columns_text(columns: list[list], kinds: list[str]) -> str:
+    """CSV text of rows given as equal-length lists of cells, with the format
+    kind of each list."""
     template = ",".join(_CELL_FORMATS[kind] for kind in kinds) + "\n"
     cells = list(columns)
     for i, kind in enumerate(kinds):
         text = "".join(cells[i]) if kind == "O" else ""
         if any(c in text for c in _QUOTE_TRIGGERS):
             cells[i] = list(map(_csv_field, cells[i]))
-    stream.write("".join(map(template.__mod__, zip(*cells))))
-    return len(cells[0])
+    return "".join(map(template.__mod__, zip(*cells)))
 
 
 def write_rows(stream: TextIO, header: list[str], rows: Iterable) -> int:
@@ -105,9 +104,12 @@ def write_rows(stream: TextIO, header: list[str], rows: Iterable) -> int:
     float if any cell is one, else int."""
     stream.write(",".join(header) + "\n")
     columns = list(zip(*rows))
+    if not columns:
+        return 0
     kinds = ["O" if isinstance(c[0], str) else "f" if any(isinstance(x, float) for x in c)
              else "i" for c in columns]
-    return write_columns(stream, columns, kinds) if columns else 0
+    stream.write(columns_text(columns, kinds))
+    return len(columns[0])
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
@@ -115,25 +117,28 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
         return write_rows(fh, header, rows)
 
 
+def assessed_text(keys, columns: dict) -> str:
+    """One block of the samples or replay table as CSV text: the key column,
+    then the ASSESSMENT_COLUMNS of an assess_columns result."""
+    block = [keys, *(columns[ASSESSMENT_FIELDS[name]] for name in ASSESSMENT_COLUMNS)]
+    return columns_text([a.tolist() for a in block], [a.dtype.kind for a in block])
+
+
 def write_assessed(stream: TextIO, header: list[str], blocks: Iterable) -> int:
     """Write the samples or replay table: header is the key column's name
     plus ASSESSMENT_COLUMNS, and each block is (key column, assess_columns
     result). Returns the number of rows."""
     stream.write(",".join(header) + "\n")
-    paths = [ASSESSMENT_FIELDS[name] for name in ASSESSMENT_COLUMNS]
-    arrays = ([keys, *(columns[p] for p in paths)] for keys, columns in blocks)
-    return sum(write_columns(stream, [a.tolist() for a in block], [a.dtype.kind for a in block])
-               for block in arrays)
+    rows = 0
+    for keys, columns in blocks:
+        stream.write(assessed_text(keys, columns))
+        rows += len(keys)
+    return rows
 
 
 def assessment_record(assessment: Assessment) -> dict:
     """JSON-friendly view of one assessment: every field of ASSESSMENT_FIELDS."""
     return dict(zip(ASSESSMENT_FIELDS, _assessment_values(assessment)))
-
-
-def write_samples(path: Path, blocks: Iterable[tuple]) -> int:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        return write_assessed(fh, SAMPLES_COLUMNS, blocks)
 
 
 def write_scenario_stats(path: Path, stats: list[ScenarioStats]) -> int:

@@ -6,14 +6,18 @@ import math
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hazardrisk.batch
 import hazardrisk.cli
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
                         generate_dataset, joint_probability, load_catalog, normalize_marginals,
@@ -21,6 +25,8 @@ from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_column
 from hazardrisk.batch import valid_readings
 from hazardrisk.cli import _number, main
 from hazardrisk.reporting import SAMPLES_COLUMNS, write_rows, write_scenario_stats
+
+SRC = Path(hazardrisk.__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -175,6 +181,118 @@ class TestSimulate:
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")
         assert main(["simulate", "--samples", "1", "--out", str(target)]) == 2
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Blocks of 3 rows, and a function that sets the CPU count simulate sees;
+    os.fork is counted."""
+    monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+    forks = []
+
+    def fork(real=os.fork):
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks.clear()
+        return forks
+
+    return set_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSimulateWorkers:
+    # 7 samples a scenario in blocks of 3: each scenario's 3 blocks straddle
+    # the turns of the parent and its workers.
+    FLAGS = ["simulate", "--seed", "5", "--samples", "7"]
+
+    # A label the csv module quotes: a comma, double quotes and a newline.
+    @pytest.mark.parametrize("fog_label", [None, '"Dense, ""thick""\nFog"'])
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
+                                                     default_rates_csv, fog_label):
+        monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+        flags = list(self.FLAGS)
+        if fog_label:
+            assert default_rates_csv.count(",Dense Fog,") == 2
+            rates = default_rates_csv.replace(",Dense Fog,", f",{fog_label},")
+            (tmp_path / "rates.csv").write_text(rates)
+            flags += ["--config", str(tmp_path / "rates.csv")]
+        outputs = []
+        for n in (1, 2, 3):
+            forks = cpus(n)
+            assert main(flags + ["--out", str(tmp_path / str(n))]) == 0
+            assert len(forks) == n - 1
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / str(n)).iterdir()})
+        assert len(outputs[0]) == 6
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_left()
+
+    def test_failure_in_a_worker_exits_as_in_the_parent(self, tmp_path, capfd, monkeypatch, cpus):
+        parent, assess_columns = os.getpid(), hazardrisk.batch.assess_columns
+
+        def no_memory_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return assess_columns(*args)
+
+        monkeypatch.setattr(hazardrisk.batch, "assess_columns", no_memory_in_a_worker)
+        cpus(3)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 64
+        assert capfd.readouterr().err == "error: out of memory\n"
+        assert_no_child_left()
+
+    def test_worker_that_ends_without_its_block_exits_2(self, tmp_path, capfd, monkeypatch,
+                                                         cpus):
+        parent, assess_columns = os.getpid(), hazardrisk.batch.assess_columns
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return assess_columns(*args)
+
+        monkeypatch.setattr(hazardrisk.batch, "assess_columns", killed_in_a_worker)
+        cpus(2)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: cannot write output: worker process ")
+        assert err.endswith(" ended before block 1\n") and err.count("\n") == 1
+        assert_no_child_left()
+
+    def test_failed_check_pass_writes_nothing(self, tmp_path, capfd, cpus):
+        cpus(3)
+        assert main(self.FLAGS + ["--grade", "-0.1", "--out", str(tmp_path / "s")]) == 64
+        assert capfd.readouterr().err.startswith("error: mu + grade must be > 0")
+        assert not (tmp_path / "s").exists()
+        assert_no_child_left()
+
+    # At 20000 samples a worker has more than its 1 MB pipe holds to send
+    # when the parent stops reading.
+    @pytest.mark.parametrize("samples", ["7", "20000"])
+    def test_unwritable_output_exits_2(self, tmp_path, cpus, samples):
+        forks = cpus(3)
+        target = tmp_path / "blocked"
+        target.write_text("file, not a directory")
+        assert main(["simulate", "--samples", samples, "--out", str(target)]) == 2
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_fork_is_safe_in_a_fresh_interpreter(self, tmp_path):
+        # Python 3.12+ warns on a fork while threads run: numpy loads after it.
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-m",
+             "hazardrisk.cli", "simulate", "--samples", "2048", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(read_csv(tmp_path / "samples.csv")) == 16 * 2048
 
 
 class TestAssess:
