@@ -40,6 +40,11 @@ CONFIG_ENV_VAR = "HAZARD_RISK_CONFIG"
 # Readings scored and written per block: memory does not grow with the input.
 BLOCK_ROWS = 1 << 11
 
+# The most processes that format one simulate run. Each draws every scenario
+# in full, so memory grows with their number; throughput and memory were
+# measured on 2 CPUs only.
+PROCESSES = 2
+
 
 def _resolve_catalog(config_path: str | None) -> tuple[BandCatalog, str]:
     """Catalog from --config, else $HAZARD_RISK_CONFIG, else built-in defaults."""
@@ -79,16 +84,34 @@ def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint, rank: 
             yield scenario, (assessed_text(keys, columns), columns["risk_score"])
 
 
+def _one_thread() -> bool:
+    """True if this process runs one thread, so that a fork copies no lock
+    another thread holds; False where that cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 @contextmanager
 def _workers(args: argparse.Namespace, catalog: BandCatalog, joint, size: int):
     """Fork workers 1 to size - 1 and yield [(pid, read end of its pipe)] by
     rank; on exit close the read ends and reap every worker. Worker `rank`
     pickles its frames of _sample_blocks into its own pipe, or the exception
-    that stopped it, and ends with os._exit."""
+    that stopped it, and ends with os._exit. If a fork fails, the workers
+    already started are stopped and the list is empty: the run is serial."""
     import fcntl
     import pickle
 
     workers = []
+
+    def stop():
+        while workers:
+            pid, pipe = workers.pop()
+            pipe.close()  # a worker still writing stops at its next block
+            with suppress(ChildProcessError):  # reaped already by _received
+                os.waitpid(pid, 0)
+
     try:
         for rank in range(1, size):
             read_fd, write_fd = os.pipe()
@@ -97,10 +120,11 @@ def _workers(args: argparse.Namespace, catalog: BandCatalog, joint, size: int):
                 fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # no process to spare: the serial loop needs none
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                stop()
+                break
             if pid == 0:
                 code = 1
                 try:
@@ -124,20 +148,22 @@ def _workers(args: argparse.Namespace, catalog: BandCatalog, joint, size: int):
             workers.append((pid, open(read_fd, "rb")))
         yield workers
     finally:
-        for pid, pipe in workers:
-            pipe.close()  # a worker still writing stops at its next block
-            os.waitpid(pid, 0)
+        stop()
 
 
 def _received(worker, block: int):
-    """The next frame from a worker's pipe; an exception it sent is raised."""
+    """The next frame from a worker's pipe; an exception it sent is raised.
+    A worker that ended without sending it raises ChildProcessError, with the
+    worker's exit status."""
     import pickle
 
     pid, pipe = worker
     try:
         frame = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        raise ChildProcessError(f"worker process {pid} ended before block {block}") from None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"worker process {pid} {how} before block {block}") from None
     if isinstance(frame, BaseException):
         raise frame
     return frame
@@ -147,13 +173,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     catalog, table_source = _resolve_catalog(args.config)
     p_f, p_v, joint = _build_joint(catalog)
     per_scenario = -(-args.samples // BLOCK_ROWS)
-    # Blocks go round-robin over this process and a worker per further CPU. A
-    # run whose scenarios fill no block stays serial: it costs less than a fork.
+    # Blocks go round-robin over this process and a worker per further CPU, up
+    # to PROCESSES in all. A run whose scenarios fill no block stays serial: it
+    # costs less than a fork. So does a process with a second thread (one that
+    # loaded numpy, say), which a fork could leave holding a lock.
     size = 1
-    if args.samples >= BLOCK_ROWS and hasattr(os, "sched_getaffinity"):
-        size = min(len(os.sched_getaffinity(0)), len(scenario_grid(catalog)) * per_scenario)
-    # Workers fork before numpy loads, while this process has one thread.
+    if args.samples >= BLOCK_ROWS and hasattr(os, "sched_getaffinity") and _one_thread():
+        size = min(PROCESSES, len(os.sched_getaffinity(0)),
+                   len(scenario_grid(catalog)) * per_scenario)
     with _workers(args, catalog, joint, size) as workers:
+        size = len(workers) + 1
         # numpy loads only in simulate and replay: assess and matrix start without it.
         import numpy as np
 
@@ -170,20 +199,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         stats, scores = [], []
 
         out_dir = Path(args.out)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             with open(out_dir / "samples.csv", "w", newline="", encoding="utf-8") as out:
-                out.write(",".join(SAMPLES_COLUMNS) + "\n")
-                # Every block in order, each worker's as it sends them; a scenario's
-                # stats row is made once its last block is in.
-                blocks = _sample_blocks(args, catalog, joint, 0, size)
-                for k, (scenario, frame) in enumerate(blocks):
-                    text, block_scores = frame or _received(workers[k % size - 1], k)
-                    out.write(text)
-                    scores.append(block_scores)
-                    if (k + 1) % per_scenario == 0:
-                        stats.append(scenario_stats(scenario, np.concatenate(scores)))
-                        scores = []
+                try:
+                    out.write(",".join(SAMPLES_COLUMNS) + "\n")
+                    # Every block in order, each worker's as it sends them; a
+                    # scenario's stats row is made once its last block is in.
+                    blocks = _sample_blocks(args, catalog, joint, 0, size)
+                    for k, (scenario, frame) in enumerate(blocks):
+                        text, block_scores = frame or _received(workers[k % size - 1], k)
+                        out.write(text)
+                        scores.append(block_scores)
+                        if (k + 1) % per_scenario == 0:
+                            stats.append(scenario_stats(scenario, np.concatenate(scores)))
+                            scores = []
+                except BaseException:
+                    # A failure here (a worker's, say) leaves no half-written
+                    # table, nor a directory made for it.
+                    with suppress(OSError):
+                        os.unlink(out.name)
+                        for d in made:
+                            d.rmdir()
+                    raise
             outputs = {
                 "samples.csv": len(stats) * config.samples_per_scenario,
                 "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv",
@@ -204,6 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 },
                 outputs={**outputs, "manifest.json": 1},
             )
+        except ChildProcessError:
+            raise  # a worker's end, not the output's: main() maps it
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -24,6 +24,8 @@ from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_column
                         scenario_samples, scenario_statistics)
 from hazardrisk.batch import valid_readings
 from hazardrisk.cli import _number, main
+
+ONE_THREAD = hazardrisk.cli._one_thread
 from hazardrisk.reporting import SAMPLES_COLUMNS, write_rows, write_scenario_stats
 
 SRC = Path(hazardrisk.__file__).resolve().parents[1]
@@ -186,8 +188,11 @@ class TestSimulate:
 @pytest.fixture
 def cpus(monkeypatch):
     """Blocks of 3 rows, and a function that sets the CPU count simulate sees;
-    os.fork is counted."""
+    os.fork is counted. This process has loaded numpy, whose threads would
+    keep simulate serial: the fork-safety check is taken as passed here, and
+    made for real in a fresh interpreter."""
     monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(hazardrisk.cli, "_one_thread", lambda: True)
     forks = []
 
     def fork(real=os.fork):
@@ -209,6 +214,19 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def in_a_worker(parent, action):
+    """hazardrisk.batch.assess_columns, except that it runs `action` instead
+    in any process but `parent`."""
+    assess_columns = hazardrisk.batch.assess_columns
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            action()
+        return assess_columns(*args)
+
+    return wrapped
+
+
 class TestSimulateWorkers:
     # 7 samples a scenario in blocks of 3: each scenario's 3 blocks straddle
     # the turns of the parent and its workers.
@@ -219,6 +237,7 @@ class TestSimulateWorkers:
     def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
                                                      default_rates_csv, fog_label):
         monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+        monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
         flags = list(self.FLAGS)
         if fog_label:
             assert default_rates_csv.count(",Dense Fog,") == 2
@@ -235,39 +254,50 @@ class TestSimulateWorkers:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
         assert_no_child_left()
 
-    def test_failure_in_a_worker_exits_as_in_the_parent(self, tmp_path, capfd, monkeypatch, cpus):
-        parent, assess_columns = os.getpid(), hazardrisk.batch.assess_columns
-
-        def no_memory_in_a_worker(*args):
-            if os.getpid() != parent:
-                raise MemoryError
-            return assess_columns(*args)
-
-        monkeypatch.setattr(hazardrisk.batch, "assess_columns", no_memory_in_a_worker)
-        cpus(3)
-        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 64
-        assert capfd.readouterr().err == "error: out of memory\n"
+    def test_no_more_than_two_processes(self, tmp_path, cpus):
+        forks = cpus(64)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 0
+        assert len(forks) == 1
         assert_no_child_left()
 
-    def test_worker_that_ends_without_its_block_exits_2(self, tmp_path, capfd, monkeypatch,
-                                                         cpus):
-        parent, assess_columns = os.getpid(), hazardrisk.batch.assess_columns
+    # --out is made by the run, or holds a file already.
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    def test_failure_in_a_worker_exits_as_in_the_parent(self, tmp_path, capfd, monkeypatch, cpus,
+                                                        existing):
+        def no_memory():
+            raise MemoryError
 
-        def killed_in_a_worker(*args):
-            if os.getpid() != parent:
-                os._exit(1)
-            return assess_columns(*args)
-
-        monkeypatch.setattr(hazardrisk.batch, "assess_columns", killed_in_a_worker)
+        out = tmp_path / "made" / "s"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("kept")
+        monkeypatch.setattr(hazardrisk.batch, "assess_columns", in_a_worker(os.getpid(), no_memory))
         cpus(2)
-        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 2
+        assert main(self.FLAGS + ["--out", str(out)]) == 64
+        assert capfd.readouterr().err == "error: out of memory\n"
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), 9), "was killed by signal 9"),
+    ], ids=["exit_3", "sigkill"])
+    def test_worker_that_ends_without_its_block_exits_64(self, tmp_path, capfd, monkeypatch,
+                                                          cpus, end, how):
+        monkeypatch.setattr(hazardrisk.batch, "assess_columns", in_a_worker(os.getpid(), end))
+        cpus(2)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 64
         err = capfd.readouterr().err
-        assert err.startswith("error: cannot write output: worker process ")
-        assert err.endswith(" ended before block 1\n") and err.count("\n") == 1
+        assert err.startswith("error: worker process ")
+        assert err.endswith(f" {how} before block 1\n") and err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
         assert_no_child_left()
 
     def test_failed_check_pass_writes_nothing(self, tmp_path, capfd, cpus):
-        cpus(3)
+        cpus(2)
         assert main(self.FLAGS + ["--grade", "-0.1", "--out", str(tmp_path / "s")]) == 64
         assert capfd.readouterr().err.startswith("error: mu + grade must be > 0")
         assert not (tmp_path / "s").exists()
@@ -277,21 +307,67 @@ class TestSimulateWorkers:
     # when the parent stops reading.
     @pytest.mark.parametrize("samples", ["7", "20000"])
     def test_unwritable_output_exits_2(self, tmp_path, cpus, samples):
-        forks = cpus(3)
+        forks = cpus(2)
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")
         assert main(["simulate", "--samples", samples, "--out", str(target)]) == 2
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert_no_child_left()
+
+    # The first fork fails, or the second, after one worker has started.
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_fork_runs_serial(self, tmp_path, monkeypatch, cpus, failing):
+        monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
+        forks = cpus(3)
+        counted = os.fork
+
+        def fork():
+            if len(forks) + 1 == failing:
+                forks.append(1)
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return counted()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "forked")]) == 0
+        assert len(forks) == failing
+        assert_no_child_left()
+        cpus(1)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "serial")]) == 0
+        for name in ("samples.csv", "scenario_stats.csv"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "forked" / name).read_bytes() == serial, name
+
+    def test_second_thread_keeps_the_run_serial(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(hazardrisk.cli, "_one_thread", ONE_THREAD)
+        forks = cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not ONE_THREAD()
+            assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 0
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
 
     def test_fork_is_safe_in_a_fresh_interpreter(self, tmp_path):
         # Python 3.12+ warns on a fork while threads run: numpy loads after it.
+        # Two CPUs are reported, so that the run forks on any machine.
+        script = ("import os, sys\n"
+                  "from hazardrisk.cli import main\n"
+                  "forks, fork = [], os.fork\n"
+                  "os.fork = lambda: forks.append(1) or fork()\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(len(forks))\n"
+                  "sys.exit(code)\n")
         path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
         result = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-m",
-             "hazardrisk.cli", "simulate", "--samples", "2048", "--out", str(tmp_path)],
+            [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", script,
+             "simulate", "--samples", "2048", "--out", str(tmp_path)],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
-        assert (result.returncode, result.stderr) == (0, "")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
         assert len(read_csv(tmp_path / "samples.csv")) == 16 * 2048
 
 
