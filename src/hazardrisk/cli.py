@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -24,8 +25,8 @@ from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catal
                     numbered_records, repeated_column, scenario_grid)
 from .probability import joint_probability, normalize_marginals
 from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, SAMPLES_COLUMNS,
-                        assessed_text, assessment_record, heatmap_rows, write_assessed,
-                        write_heatmap, write_joint, write_manifest, write_marginals, write_rows,
+                        assessed_text, assessment_record, heatmap_rows, write_heatmap,
+                        write_joint, write_manifest, write_marginals, write_rows,
                         write_scenario_stats)
 from .risk import assess, risk_matrix
 
@@ -61,10 +62,10 @@ def _build_joint(catalog: BandCatalog):
 
 
 def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint, rank: int, size: int):
-    """(scenario, frame) for each BLOCK_ROWS block of the samples table, in
-    order. This process formats every size-th block from the rank-th: its
-    frame is (CSV text, risk scores); every other block's frame is None. Each
-    scenario is drawn again from its own stream, whichever process draws it."""
+    """A frame for each BLOCK_ROWS block of the samples table, in order. This
+    process formats every size-th block from the rank-th: its frame is (CSV
+    text, risk scores); every other block's frame is None. Each scenario is
+    drawn again from its own stream, whichever process draws it."""
     import numpy as np
 
     from .batch import assess_columns
@@ -75,13 +76,13 @@ def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint, rank: 
     for scenario, mu, sight in scenario_samples(config, catalog):
         for start in range(0, len(mu), BLOCK_ROWS):
             if next(blocks) % size != rank:
-                yield scenario, None
+                yield None
                 continue
             block = slice(start, start + BLOCK_ROWS)
             columns = assess_columns(mu[block], sight[block], args.grade, args.design_speed,
                                      catalog, joint)
             keys = np.full(len(columns["risk_score"]), scenario.scenario_id)
-            yield scenario, (assessed_text(keys, columns), columns["risk_score"])
+            yield assessed_text(keys, columns), columns["risk_score"]
 
 
 def _one_thread() -> bool:
@@ -93,13 +94,39 @@ def _one_thread() -> bool:
         return False
 
 
+def _cgroup_cpus(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> int | None:
+    """The CPUs that the cgroup v2 quota (`cpu.max`) of this process's own
+    cgroup allows, at least 1; None where it sets none or cannot be read."""
+    try:
+        with open(cgroups, encoding="utf-8") as fh:
+            path = next(line[3:].rstrip("\n") for line in fh if line.startswith("0::"))
+        with open(f"{root}{path}/cpu.max", encoding="utf-8") as fh:
+            quota, period = fh.read().split()
+        return max(1, int(quota) // int(period))
+    except (OSError, StopIteration, ValueError):  # "max" is no number: no quota
+        return None
+
+
+def _processes(fills: bool) -> int:
+    """How many processes format a run: this one and a worker per further
+    CPU, up to PROCESSES in all. A run whose input does not fill more than
+    one block (`fills` False) stays serial: it costs less than a fork. So
+    does a process with a second thread (one that loaded numpy, say), which
+    a fork could leave holding a lock. The CPUs are those of the affinity
+    mask, no more than the cgroup's quota allows."""
+    if not fills or not hasattr(os, "sched_getaffinity") or not _one_thread():
+        return 1
+    return min(PROCESSES, len(os.sched_getaffinity(0)), _cgroup_cpus() or PROCESSES)
+
+
 @contextmanager
-def _workers(args: argparse.Namespace, catalog: BandCatalog, joint, size: int):
+def _workers(frames, size: int):
     """Fork workers 1 to size - 1 and yield [(pid, read end of its pipe)] by
     rank; on exit close the read ends and reap every worker. Worker `rank`
-    pickles its frames of _sample_blocks into its own pipe, or the exception
-    that stopped it, and ends with os._exit. If a fork fails, the workers
-    already started are stopped and the list is empty: the run is serial."""
+    pickles each frame of frames(rank, size) that is not None into its own
+    pipe, or the exception that stopped it, and ends with os._exit. If a
+    fork fails, the workers already started are stopped and the list is
+    empty: the run is serial."""
     import fcntl
     import pickle
 
@@ -135,8 +162,8 @@ def _workers(args: argparse.Namespace, catalog: BandCatalog, joint, size: int):
                         pipe.close()
                     with open(write_fd, "wb") as pipe:
                         try:
-                            for _, frame in _sample_blocks(args, catalog, joint, rank, size):
-                                if frame:
+                            for frame in frames(rank, size):
+                                if frame is not None:
                                     pickle.dump(frame, pipe)
                                     pipe.flush()
                             code = 0
@@ -173,15 +200,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     catalog, table_source = _resolve_catalog(args.config)
     p_f, p_v, joint = _build_joint(catalog)
     per_scenario = -(-args.samples // BLOCK_ROWS)
-    # Blocks go round-robin over this process and a worker per further CPU, up
-    # to PROCESSES in all. A run whose scenarios fill no block stays serial: it
-    # costs less than a fork. So does a process with a second thread (one that
-    # loaded numpy, say), which a fork could leave holding a lock.
-    size = 1
-    if args.samples >= BLOCK_ROWS and hasattr(os, "sched_getaffinity") and _one_thread():
-        size = min(PROCESSES, len(os.sched_getaffinity(0)),
-                   len(scenario_grid(catalog)) * per_scenario)
-    with _workers(args, catalog, joint, size) as workers:
+    # Blocks go round-robin over the processes. Where a scenario fills no
+    # block, the run stays serial.
+    size = _processes(args.samples >= BLOCK_ROWS)
+    with _workers(partial(_sample_blocks, args, catalog, joint), size) as workers:
         size = len(workers) + 1
         # numpy loads only in simulate and replay: assess and matrix start without it.
         import numpy as np
@@ -207,13 +229,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     out.write(",".join(SAMPLES_COLUMNS) + "\n")
                     # Every block in order, each worker's as it sends them; a
                     # scenario's stats row is made once its last block is in.
-                    blocks = _sample_blocks(args, catalog, joint, 0, size)
-                    for k, (scenario, frame) in enumerate(blocks):
+                    scenarios = scenario_grid(catalog)
+                    for k, frame in enumerate(_sample_blocks(args, catalog, joint, 0, size)):
                         text, block_scores = frame or _received(workers[k % size - 1], k)
                         out.write(text)
                         scores.append(block_scores)
                         if (k + 1) % per_scenario == 0:
-                            stats.append(scenario_stats(scenario, np.concatenate(scores)))
+                            stats.append(scenario_stats(scenarios[k // per_scenario],
+                                                        np.concatenate(scores)))
                             scores = []
                 except BaseException:
                     # A failure here (a worker's, say) leaves no half-written
@@ -271,19 +294,24 @@ def _number(text: str, default) -> float:
         return math.nan  # outside the domain: the row is then parsed alone for its message
 
 
-def _scored_blocks(reader, header: list[str], design_speed: float, catalog, joint):
-    """(timestamps, assess_columns result) of the valid readings in each block
-    of BLOCK_ROWS log records that has one. Blank lines are skipped; a row not
-    as wide as the header is skipped with a warning, as is each row the domain
-    mask rejects, parsed alone for its message. Warnings go out in line order."""
+def _log_frames(header: list[str], design_speed: float, catalog, joint, records, rank: int,
+                size: int):
+    """A frame for each block of BLOCK_ROWS numbered log records, in order.
+    This process scores every size-th block from the rank-th: its frame is
+    (warning lines, CSV text of its valid readings); every other block is
+    only read, and its frame is None. Blank lines are skipped; a row not as
+    wide as the header is skipped with a warning, as is each row the domain
+    mask rejects, parsed alone for its message. Warnings are in line order."""
     import numpy as np
 
     from .batch import assess_columns, valid_readings
 
     # An empty grade or design_speed cell, or no such column, takes the default.
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
-    records = numbered_records(reader)
-    while block := list(islice(records, BLOCK_ROWS)):
+    for k, block in enumerate(iter(lambda: list(islice(records, BLOCK_ROWS)), [])):
+        if k % size != rank:
+            yield None
+            continue
         kept = [(line, row) for line, row in block if len(row) == len(header)]
         warnings = [(line, "field count differs from header")
                     for line, row in block if row and len(row) != len(header)]
@@ -296,21 +324,56 @@ def _scored_blocks(reader, header: list[str], design_speed: float, catalog, join
                 EnvironmentReading(*(float(column[i] or d) for column, d in texts))
             except ValueError as exc:
                 warnings.append((kept[i][0], exc))
-        sys.stderr.write("".join(f"warning: line {line + 1}: skipped ({reason})\n"
-                                 for line, reason in sorted(warnings, key=itemgetter(0))))
+        text = ""
         if ok.any():
-            yield (np.array(fields["timestamp"], dtype=object)[ok],
-                   assess_columns(*(v[ok] for v in values), catalog, joint))
+            text = assessed_text(np.array(fields["timestamp"], dtype=object)[ok],
+                                 assess_columns(*(v[ok] for v in values), catalog, joint))
+        yield "".join(f"warning: line {line + 1}: skipped ({reason})\n"
+                      for line, reason in sorted(warnings, key=itemgetter(0))), text
+
+
+def _own_records(path: Path, log: os.stat_result):
+    """The numbered records after the header of the log at `path`, read
+    through a file of this process's own, which must be the file whose fstat
+    is `log`: a worker leaves the parent's file offset alone."""
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:  # not an output's failure, which replay maps OSError to
+        raise ValueError(f"{path} cannot be opened again: {exc}") from None
+    with fh:
+        if not os.path.samestat(os.fstat(fh.fileno()), log):
+            raise ValueError(f"{path} was replaced while it was read")
+        reader = csv.reader(fh)
+        next(reader)
+        yield from numbered_records(reader)
+
+
+def _raised(exc: BaseException):
+    """An iterator that raises exc when it is first read."""
+    raise exc
+    yield
+
+
+def _replayed(frames, workers):
+    """The CSV text of each block that has valid readings, in order, each
+    worker's block from its pipe; every block's warnings go to stderr first."""
+    size = len(workers) + 1
+    for k, frame in enumerate(frames):
+        warnings, text = frame or _received(workers[k % size - 1], k)
+        sys.stderr.write(warnings)
+        if text:
+            yield text
 
 
 @contextmanager
-def _replay_output(path: str | None):
+def _replay_output(path: str | None, log: os.stat_result):
     """Replay's output stream: stdout; else a temporary file beside `path`,
     renamed onto it with the old file's mode only once the block completes and
     removed on any exception, so a file at `path` keeps its bytes. A path that
     a rename would change in more than its bytes (a device, FIFO or symlink, a
     file with other links or another owner, or one in a read-only directory)
-    is written through instead."""
+    is written through instead, unless it is the input log (`log`, its
+    fstat), which that would truncate as it is read."""
     if not path:
         yield sys.stdout
         return
@@ -318,6 +381,8 @@ def _replay_output(path: str | None):
     whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
         old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
     )
+    if not whole and os.path.exists(path) and os.path.samestat(os.stat(path), log):
+        raise ValueError(f"--out {path} is the input log: it cannot be written while it is read")
     target = f"{path}.{os.getpid()}.tmp" if whole else path
     # A temporary name that is already taken, even by a symlink, is an error:
     # only a file this run created is written, renamed or removed.
@@ -358,17 +423,36 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
                 print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
-            scored = _scored_blocks(reader, header, args.design_speed, catalog, joint)
-            first = next(scored, None)
-            if first is None:
-                print("error: no valid rows in input", file=sys.stderr)
-                return EXIT_NODATA
+            log = os.fstat(fh.fileno())
+            # The first block and the record after it are read before numpy
+            # loads: a log that fits in one block stays serial. A failure to
+            # read that record is raised in its turn, after the first block.
+            records = numbered_records(reader)
+            head = list(islice(records, BLOCK_ROWS))
             try:
-                with _replay_output(args.out) as out:
-                    write_assessed(out, REPLAY_COLUMNS, chain([first], scored))
-            except OSError as exc:
-                print(f"error: cannot write output: {exc}", file=sys.stderr)
-                return EXIT_IO
+                head += islice(records, 1)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                records = _raised(exc)
+            # Each process reads every record, so that block k holds the same
+            # records in all of them, and scores only its own blocks.
+            log_frames = partial(_log_frames, header, args.design_speed, catalog, joint)
+            with _workers(lambda rank, size: log_frames(_own_records(input_path, log), rank, size),
+                          _processes(len(head) > BLOCK_ROWS)) as workers:
+                texts = _replayed(log_frames(chain(head, records), 0, len(workers) + 1), workers)
+                first = next(texts, None)
+                if first is None:
+                    print("error: no valid rows in input", file=sys.stderr)
+                    return EXIT_NODATA
+                try:
+                    with _replay_output(args.out, log) as out:
+                        out.write(",".join(REPLAY_COLUMNS) + "\n")
+                        out.write(first)
+                        out.writelines(texts)
+                except ChildProcessError:
+                    raise  # a worker's end, not the output's: main() maps it
+                except OSError as exc:
+                    print(f"error: cannot write output: {exc}", file=sys.stderr)
+                    return EXIT_IO
     except UnicodeDecodeError as exc:
         print(f"error: {input_path} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_NODATA

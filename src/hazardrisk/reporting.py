@@ -124,18 +124,6 @@ def assessed_text(keys, columns: dict) -> str:
     return columns_text([a.tolist() for a in block], [a.dtype.kind for a in block])
 
 
-def write_assessed(stream: TextIO, header: list[str], blocks: Iterable) -> int:
-    """Write the samples or replay table: header is the key column's name
-    plus ASSESSMENT_COLUMNS, and each block is (key column, assess_columns
-    result). Returns the number of rows."""
-    stream.write(",".join(header) + "\n")
-    rows = 0
-    for keys, columns in blocks:
-        stream.write(assessed_text(keys, columns))
-        rows += len(keys)
-    return rows
-
-
 def assessment_record(assessment: Assessment) -> dict:
     """JSON-friendly view of one assessment: every field of ASSESSMENT_FIELDS."""
     return dict(zip(ASSESSMENT_FIELDS, _assessment_values(assessment)))

@@ -147,11 +147,13 @@ class TestSimulate:
     def test_output_does_not_depend_on_block_size(self, tmp_path, monkeypatch):
         flags = ["simulate", "--seed", "5", "--samples", "7", "--grade", "0.01"]
         assert main(flags + ["--out", str(tmp_path / "whole")]) == 0
-        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 5)
-        assert main(flags + ["--out", str(tmp_path / "blocks")]) == 0
-        for name in ("samples.csv", "scenario_stats.csv", "manifest.json"):
-            whole = (tmp_path / "whole" / name).read_bytes()
-            assert (tmp_path / "blocks" / name).read_bytes() == whole, name
+        # Two and three blocks a scenario.
+        for rows in (5, 3):
+            monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", rows)
+            assert main(flags + ["--out", str(tmp_path / str(rows))]) == 0
+            for name in ("samples.csv", "scenario_stats.csv", "manifest.json"):
+                whole = (tmp_path / "whole" / name).read_bytes()
+                assert (tmp_path / str(rows) / name).read_bytes() == whole, (rows, name)
 
     def test_peak_memory_does_not_grow_with_the_sample_count(self, tmp_path):
         # 320k samples: holding them all, or their scores, would take 20 MB.
@@ -187,31 +189,65 @@ class TestSimulate:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Blocks of 3 rows, and a function that sets the CPU count simulate sees;
-    os.fork is counted. This process has loaded numpy, whose threads would
-    keep simulate serial: the fork-safety check is taken as passed here, and
-    made for real in a fresh interpreter."""
+    """Blocks of 3 rows, and a function that sets the CPU count that simulate
+    and replay see; os.fork is counted, and no cgroup quota is read. This
+    process has loaded numpy, whose threads would keep a run serial: the
+    fork-safety check is taken as passed here, and made for real in a fresh
+    interpreter. Only a worker may end in os._exit, and only this process
+    may return from the test."""
     monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
     monkeypatch.setattr(hazardrisk.cli, "_one_thread", lambda: True)
-    forks = []
+    monkeypatch.setattr(hazardrisk.cli, "_cgroup_cpus", lambda: None)
+    forks, test_process, real_exit = [], os.getpid(), os._exit
 
     def fork(real=os.fork):
         forks.append(1)
         return real()
 
+    def worker_exit(code):
+        if os.getpid() == test_process:
+            raise AssertionError(f"os._exit({code}) in the process that forks the workers")
+        real_exit(code)
+
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "_exit", worker_exit)
 
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         forks.clear()
         return forks
 
-    return set_cpus
+    yield set_cpus
+    if os.getpid() != test_process:  # a worker that went on as the parent
+        real_exit(1)
 
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# (/proc/self/cgroup, the cgroup directory it names, its cpu.max or None, CPUs allowed)
+CGROUPS = {
+    "quota_of_2": ("0::/job\n", "job", "200000 100000\n", 2),
+    "rounded_down": ("0::/job\n", "job", "250000 100000\n", 2),
+    "at_least_1": ("0::/job\n", "job", "50000 100000\n", 1),
+    "root_cgroup": ("0::/\n", "", "100000 100000\n", 1),
+    "v1_lines_first": ("4:memory:/job\n1:cpu:/\n0::/job\n", "job", "300000 100000\n", 3),
+    "no_quota": ("0::/job\n", "job", "max 100000\n", None),
+    "no_cpu_max": ("0::/job\n", "job", None, None),
+    "cgroup_v1_only": ("1:cpu:/job\n", "job", "200000 100000\n", None),
+}
+
+
+@pytest.mark.parametrize("name", CGROUPS)
+def test_cgroup_cpus_reads_the_quota_of_its_own_cgroup(tmp_path, name):
+    membership, directory, cpu_max, allowed = CGROUPS[name]
+    (tmp_path / "cgroup").write_text(membership)
+    (tmp_path / "fs" / directory).mkdir(parents=True)
+    if cpu_max:
+        (tmp_path / "fs" / directory / "cpu.max").write_text(cpu_max)
+    assert hazardrisk.cli._cgroup_cpus(str(tmp_path / "cgroup"), str(tmp_path / "fs")) == allowed
 
 
 def in_a_worker(parent, action):
@@ -225,6 +261,26 @@ def in_a_worker(parent, action):
         return assess_columns(*args)
 
     return wrapped
+
+
+def forking_run(argv):
+    """hazardrisk argv in a fresh interpreter in development mode, where a
+    DeprecationWarning is an error (Python 3.12+ warns on a fork while threads
+    run: numpy loads after it). Two CPUs and no quota are reported, so that
+    the run forks on any machine; stdout is the number of forks."""
+    script = ("import os, sys\n"
+              "import hazardrisk.cli\n"
+              "forks, fork = [], os.fork\n"
+              "os.fork = lambda: forks.append(1) or fork()\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "hazardrisk.cli._cgroup_cpus = lambda: None\n"
+              "code = hazardrisk.cli.main(sys.argv[1:])\n"
+              "print(len(forks))\n"
+              "sys.exit(code)\n")
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
 
 
 class TestSimulateWorkers:
@@ -352,23 +408,205 @@ class TestSimulateWorkers:
         assert forks == []
 
     def test_fork_is_safe_in_a_fresh_interpreter(self, tmp_path):
-        # Python 3.12+ warns on a fork while threads run: numpy loads after it.
-        # Two CPUs are reported, so that the run forks on any machine.
-        script = ("import os, sys\n"
-                  "from hazardrisk.cli import main\n"
-                  "forks, fork = [], os.fork\n"
-                  "os.fork = lambda: forks.append(1) or fork()\n"
-                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                  "code = main(sys.argv[1:])\n"
-                  "print(len(forks))\n"
-                  "sys.exit(code)\n")
-        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        result = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", script,
-             "simulate", "--samples", "2048", "--out", str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+        result = forking_run(["simulate", "--samples", "2048", "--out", str(tmp_path)])
         assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
         assert len(read_csv(tmp_path / "samples.csv")) == 16 * 2048
+
+
+def replay_log(rows):
+    """A replay log of `rows` records: valid readings, with a row for each
+    reason replay skips one, blank lines, timestamps that span lines or hold
+    a comma and quotes, and runs of rows that are all skipped."""
+    kinds = [
+        "t{i},0.{d},{s},,", "t{i},abc,100,,", "t{i},0.5", "t{i},0.5,100,0,55,9", "",
+        "t{i},0,100,,", "t{i},0.5,-1,,", "t{i},0.3,250,nan,", "t{i},0.6,900,,inf",
+        "t{i},0.1,120,-0.2,", "t{i},0.5,600,,0", '"t\n{i}",0.{d},{s},0.02,',
+        '"a, ""{i}""",0.{d},{s},,45', "t{i},0.{d},{s},-0.01,60", "t{i},0.{d},{s},,",
+    ]
+    lines = [kinds[i % len(kinds)].format(i=i, d=i % 9 + 1, s=i * 37 % 7000) for i in range(rows)]
+    return "timestamp,mu,sight_ft,grade,design_speed\n" + "\n".join(lines) + "\n"
+
+
+class TestReplayWorkers:
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, capfd, monkeypatch, cpus,
+                                                     to_file):
+        monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
+        src = tmp_path / "log.csv"
+        src.write_text(replay_log(47))
+        outputs = []
+        for n in (1, 2, 3):
+            forks = cpus(n)
+            out = tmp_path / f"{n}.csv"
+            assert main(["replay", "--input", str(src)] + (["--out", str(out)] if to_file else [])) == 0
+            assert len(forks) == n - 1
+            captured = capfd.readouterr()
+            outputs.append((captured, out.read_bytes() if to_file else None))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        captured, written = outputs[0]
+        assert captured.err.count("warning: line") == 28
+        assert captured.err.endswith("warning: line 51: skipped (could not convert string to "
+                                     "float: 'abc')\n")
+        rows = list(csv.reader(io.StringIO(written.decode() if to_file else captured.out)))
+        assert len(rows) == 1 + 47 - 28 - 3  # and three blank lines
+        assert [row[0] for row in rows[1:4]] == ["t0", "t\n11", 'a, "12"']
+        assert_no_child_left()
+
+    # Three records fill the one block, blank line included; a fourth starts another.
+    @pytest.mark.parametrize("records, forked", [(3, 0), (4, 1)])
+    def test_log_of_one_block_does_not_fork(self, tmp_path, capfd, cpus, records, forked):
+        forks = cpus(2)
+        src = tmp_path / "log.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n\n" + "t,0.5,600\n" * (records - 2))
+        assert main(["replay", "--input", str(src)]) == 0
+        assert len(forks) == forked
+        assert len(capfd.readouterr().out.splitlines()) == records
+        assert_no_child_left()
+
+    def test_cgroup_quota_keeps_the_run_serial(self, tmp_path, capfd, monkeypatch, cpus):
+        forks = cpus(4)
+        monkeypatch.setattr(hazardrisk.cli, "_cgroup_cpus", lambda: 1)
+        src = tmp_path / "log.csv"
+        src.write_text(replay_log(20))
+        assert main(["replay", "--input", str(src)]) == 0
+        assert forks == []
+        assert_no_child_left()
+
+    def test_failure_in_a_worker_exits_as_in_the_parent(self, tmp_path, capfd, monkeypatch, cpus):
+        def no_memory():
+            raise MemoryError
+
+        src = tmp_path / "log.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "t,0.5,600\n" * 20)
+        out = tmp_path / "assessed.csv"
+        out.write_bytes(b"earlier result\n")
+        monkeypatch.setattr(hazardrisk.batch, "assess_columns", in_a_worker(os.getpid(), no_memory))
+        cpus(2)
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 64
+        assert capfd.readouterr().err == "error: out of memory\n"
+        assert out.read_bytes() == b"earlier result\n"
+        assert sorted(tmp_path.iterdir()) == [out, src]
+        assert_no_child_left()
+
+    # A worker that ends with status 0 has read fewer blocks than the parent:
+    # the log changed while it was read.
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os._exit(0), "exited with status 0"),
+        (lambda: os.kill(os.getpid(), 9), "was killed by signal 9"),
+    ], ids=["exit_3", "exit_0", "sigkill"])
+    def test_worker_that_ends_without_its_block_exits_64(self, tmp_path, capfd, monkeypatch,
+                                                          cpus, end, how):
+        src = tmp_path / "log.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "t,0.5,600\n" * 20)
+        out = tmp_path / "assessed.csv"
+        out.write_bytes(b"earlier result\n")
+        monkeypatch.setattr(hazardrisk.batch, "assess_columns", in_a_worker(os.getpid(), end))
+        cpus(2)
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 64
+        err = capfd.readouterr().err
+        assert err.startswith("error: worker process ")
+        assert err.endswith(f" {how} before block 1\n") and err.count("\n") == 1
+        assert out.read_bytes() == b"earlier result\n"
+        assert sorted(tmp_path.iterdir()) == [out, src]
+        assert_no_child_left()
+
+    # The unreadable record is the one read ahead to decide on the fork (3),
+    # in the worker's block (4, 10) or in the parent's (6); a byte that is not
+    # UTF-8 comes past the first 8 kB that the file decodes at once.
+    @pytest.mark.parametrize("fault, at", [
+        ("csv", 3), ("csv", 4), ("csv", 6), ("csv", 10), ("utf8", 650), ("utf8", 1300)])
+    def test_unreadable_log_exits_65_with_the_parents_line_number(self, tmp_path, capfd, cpus,
+                                                                  fault, at):
+        lines = replay_log(1500).encode().split(b"\n")
+        lines[at + 1] = (b'"' + b"t" * 131073 + b'",0.5,600,,' if fault == "csv"
+                         else b"t,0.5,600,,\xff")
+        src = tmp_path / "log.csv"
+        src.write_bytes(b"\n".join(lines))
+        results = []
+        for n in (1, 2):
+            forks = cpus(n)
+            rc = main(["replay", "--input", str(src)])
+            results.append((rc, capfd.readouterr()))
+            assert len(forks) == (n - 1 if at > 3 else 0)
+        assert results[1] == results[0]
+        rc, captured = results[0]
+        error = captured.err.splitlines()[-1]
+        assert rc == 65 and error.startswith(f"error: {src} is not ")
+        # The first block's warnings come first, whether or not it is followed.
+        assert captured.err.startswith("warning: line 3: skipped (could not convert string")
+        if fault == "csv":  # record `at` starts on line at + 2
+            assert error.endswith(f"at line {at + 2}: field larger than field limit (131072)")
+        else:
+            assert "is not UTF-8 text" in error and "warning: line 9" in captured.err
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("rows", [20, 12000])
+    def test_unwritable_output_exits_2(self, tmp_path, capfd, cpus, rows):
+        # At 12000 rows the worker has more than its 1 MB pipe holds to send
+        # when the parent stops reading.
+        forks = cpus(2)
+        src = tmp_path / "log.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + f"{'t' * 200},0.5,600\n" * rows)
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "no" / "out.csv")]) == 2
+        assert capfd.readouterr().err.startswith("error: cannot write output: ")
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_failed_fork_runs_serial(self, tmp_path, capfd, monkeypatch, cpus):
+        forks = cpus(2)
+        src = tmp_path / "log.csv"
+        src.write_text(replay_log(30))
+
+        def fork():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["replay", "--input", str(src)]) == 0
+        forked = capfd.readouterr()
+        assert len(forks) == 1
+        assert_no_child_left()
+        cpus(1)
+        assert main(["replay", "--input", str(src)]) == 0
+        assert capfd.readouterr() == forked
+
+    # The parent has the log open: a serial run would read it to the end.
+    @pytest.mark.parametrize("change, error", [
+        (lambda src, other: os.replace(other, src), "{src} was replaced while it was read"),
+        (lambda src, other: src.unlink(), "{src} cannot be opened again: [Errno 2] "
+                                          "No such file or directory: '{src}'"),
+    ], ids=["replaced", "removed"])
+    def test_log_changed_before_the_worker_opens_it_exits_64(self, tmp_path, capfd, monkeypatch,
+                                                             cpus, change, error):
+        forks = cpus(2)
+        src = tmp_path / "log.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "t,0.5,600\n" * 20)
+        other = tmp_path / "other.csv"
+        other.write_text("timestamp,mu,sight_ft\n" + "t,0.8,5000\n" * 20)
+        counted = os.fork
+
+        def fork():
+            change(src, other)
+            return counted()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "out.csv")]) == 64
+        assert capfd.readouterr().err == "error: " + error.format(src=src) + "\n"
+        assert len(forks) == 1 and not (tmp_path / "out.csv").exists()
+        assert_no_child_left()
+
+    def test_fork_is_safe_in_a_fresh_interpreter(self, tmp_path, capsys):
+        src = tmp_path / "log.csv"
+        src.write_text(replay_log(3000))
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "here.csv")]) == 0
+        warnings = capsys.readouterr().err
+        assert warnings.count("warning: line") == 1800
+        result = forking_run(["replay", "--input", str(src), "--out", str(tmp_path / "forked.csv")])
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", warnings)
+        forked = (tmp_path / "forked.csv").read_bytes()
+        assert forked == (tmp_path / "here.csv").read_bytes()
+        assert_no_child_left()
 
 
 class TestAssess:
@@ -641,6 +879,34 @@ class TestReplay:
         assert main(["replay", "--input", str(src), "--out", str(link)]) == 0
         assert link.is_symlink()
         assert [r["timestamp"] for r in read_csv(target)] == ["t0"]
+
+    # Written through, --out would truncate the log it names as it is read.
+    @pytest.mark.parametrize("link", ["symlink", "hard_link"])
+    def test_out_linked_to_the_log_exits_64(self, tmp_path, capsys, monkeypatch, link):
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "t,0.5,600\n" * 20)
+        log = src.read_bytes()
+        out = tmp_path / "assessed.csv"
+        if link == "symlink":
+            out.symlink_to(src.name)
+        else:
+            os.link(src, out)
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 64
+        assert capsys.readouterr().err == (
+            f"error: --out {out} is the input log: it cannot be written while it is read\n")
+        assert src.read_bytes() == log and out.read_bytes() == log
+        assert sorted(tmp_path.iterdir()) == [out, src]
+
+    def test_out_that_names_the_log_replaces_it(self, tmp_path, capsys, monkeypatch):
+        # The log's only name is renamed onto once the whole log is read.
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "".join(f"t{i},0.5,600\n" for i in range(20)))
+        assert main(["replay", "--input", str(src), "--out", str(src)]) == 0
+        assert [r["timestamp"] for r in read_csv(src)] == [f"t{i}" for i in range(20)]
+        assert read_csv(src)[0]["friction_label"] == "Wet"
+        assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize("planted", ["symlink", "file"])
     def test_taken_temporary_name_exits_2(self, tmp_path, capsys, planted):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import reference
 from hazardrisk import EnvironmentReading, assess_columns
 from hazardrisk.cli import main
-from hazardrisk.reporting import SAMPLES_COLUMNS, write_assessed
+from hazardrisk.reporting import SAMPLES_COLUMNS, assessed_text
 
 
 def _edges(bands, cuts):
@@ -61,11 +61,10 @@ def test_assessed_rows_are_the_reference_rows(catalog, joint_table, rows):
     with np.errstate(over="ignore"):  # 0.06 / mg for a subnormal mg: a safe speed of 0
         expected = reference.score(mu, sight, grade, design)
     keys = np.arange(len(mu))
-    out = io.StringIO()
-    write_assessed(out, SAMPLES_COLUMNS, [(keys, assess_columns(mu, sight, grade, design, catalog,
-                                                                joint_table))])
+    text = assessed_text(keys, assess_columns(mu, sight, grade, design, catalog, joint_table))
     lines = reference.format_rows([str(k) for k in keys.tolist()], mu, sight, expected)
-    assert out.getvalue() == "\n".join([reference.SAMPLES_HEADER, *lines]) + "\n"
+    assert ",".join(SAMPLES_COLUMNS) == reference.SAMPLES_HEADER
+    assert text == "\n".join(lines) + "\n"
 
 
 @settings(max_examples=60, deadline=None,
