@@ -187,41 +187,6 @@ class TestSimulate:
         assert main(["simulate", "--samples", "1", "--out", str(target)]) == 2
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Blocks of 3 rows, and a function that sets the CPU count that simulate
-    and replay see; os.fork is counted, and no cgroup quota is read. This
-    process has loaded numpy, whose threads would keep a run serial: the
-    fork-safety check is taken as passed here, and made for real in a fresh
-    interpreter. Only a worker may end in os._exit, and only this process
-    may return from the test."""
-    monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
-    monkeypatch.setattr(hazardrisk.cli, "_one_thread", lambda: True)
-    monkeypatch.setattr(hazardrisk.cli, "_cgroup_cpus", lambda: None)
-    forks, test_process, real_exit = [], os.getpid(), os._exit
-
-    def fork(real=os.fork):
-        forks.append(1)
-        return real()
-
-    def worker_exit(code):
-        if os.getpid() == test_process:
-            raise AssertionError(f"os._exit({code}) in the process that forks the workers")
-        real_exit(code)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "_exit", worker_exit)
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        forks.clear()
-        return forks
-
-    yield set_cpus
-    if os.getpid() != test_process:  # a worker that went on as the parent
-        real_exit(1)
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import hazardrisk.cli
 from conftest import reference
 from hazardrisk import EnvironmentReading, assess_columns
 from hazardrisk.cli import main
@@ -67,15 +68,28 @@ def test_assessed_rows_are_the_reference_rows(catalog, joint_table, rows):
     assert text == "\n".join(lines) + "\n"
 
 
+# Blocks of 1-4 rows on 1-3 processes: scenarios span several blocks, and
+# the blocks go round-robin over the parent and its workers.
+BLOCK_ROWS = st.integers(1, 4)
+PROCESSES = st.integers(1, 3)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 30), grade=st.floats(-0.2, 0.2),
-       design=st.floats(25.0, 80.0))
-def test_simulate_writes_the_reference_rows(tmp_path, seed, n, grade, design):
+       design=st.floats(25.0, 80.0), block_rows=BLOCK_ROWS, processes=PROCESSES)
+def test_simulate_writes_the_reference_rows(tmp_path, monkeypatch, cpus, seed, n, grade, design,
+                                            block_rows, processes):
+    monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
+    forks = cpus(processes)
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
     rc = main(["simulate", "--seed", str(seed), "--samples", str(n), "--grade", repr(grade),
                "--design-speed", repr(design), "--out", str(out)])
+    # 16 scenarios make more than one block: a run forks once a scenario
+    # fills a block, so that this check cannot quietly go serial.
+    assert len(forks) == (processes - 1 if n >= block_rows else 0)
     if (reference.sample(seed, n)[1] + grade <= 0).any():
         # Every draw is checked before the output directory is made.
         assert (rc, out.exists()) == (64, False)
@@ -113,7 +127,7 @@ def _log_entries(draw):
     """A replay log as a list of entries: None for a blank line, else the
     row's cells, some replaced by BAD_CELLS, some rows short or long."""
     entries = []
-    for i in range(draw(st.integers(1, 12))):
+    for i in range(draw(st.integers(1, 40))):
         if draw(st.integers(0, 9)) == 0:
             entries.append(None)
             continue
@@ -154,8 +168,13 @@ def _csv_field(text):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(entries=_log_entries(), design_flag=st.sampled_from([75.0, 30.0]))
-def test_replay_writes_the_reference_rows(tmp_path, capsys, entries, design_flag):
+@given(entries=_log_entries(), design_flag=st.sampled_from([75.0, 30.0]),
+       block_rows=BLOCK_ROWS, processes=PROCESSES)
+def test_replay_writes_the_reference_rows(tmp_path, capsys, monkeypatch, cpus, entries,
+                                          design_flag, block_rows, processes):
+    monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
+    forks = cpus(processes)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(LOG_HEADER)
@@ -180,6 +199,9 @@ def test_replay_writes_the_reference_rows(tmp_path, capsys, entries, design_flag
     src.write_text(buf.getvalue())
     rc = main(["replay", "--input", str(src), "--design-speed", repr(design_flag)])
     captured = capsys.readouterr()
+    # Every entry, blank lines included, is a record: a log of more than one
+    # block forks, so that this check cannot quietly go serial.
+    assert len(forks) == (processes - 1 if len(entries) > block_rows else 0)
     warnings = captured.err.splitlines()
     if any(valid):
         assert rc == 0
