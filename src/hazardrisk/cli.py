@@ -1,7 +1,7 @@
 """Command-line interface: simulate, assess, replay, matrix.
 
-Exit codes follow sysexits conventions: 0 success, 2 unwritable output,
-64 usage / invalid configuration, 65 no valid input data, 66 missing input.
+Exit codes: 0 success, 2 unwritable output, sysexits' 64 usage / invalid
+configuration, 65 no valid input data and 66 missing input, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 import sys
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -35,6 +35,7 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_NODATA = 65
 EXIT_NOINPUT = 66
+EXIT_INTERRUPTED = 130
 
 CONFIG_ENV_VAR = "HAZARD_RISK_CONFIG"
 
@@ -61,28 +62,24 @@ def _build_joint(catalog: BandCatalog):
     return p_f, p_v, joint_probability(p_f, p_v)
 
 
-def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint, rank: int, size: int):
-    """A frame for each BLOCK_ROWS block of the samples table, in order. This
-    process formats every size-th block from the rank-th: its frame is (CSV
-    text, risk scores); every other block's frame is None. Each scenario is
-    drawn again from its own stream, whichever process draws it."""
+def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint):
+    """A function for each BLOCK_ROWS block of the samples table, in order,
+    that formats it: its frame is (CSV text, risk scores). Each scenario is
+    drawn again from its own stream, in every process that reads this."""
     import numpy as np
 
     from .batch import assess_columns
     from .sampler import SamplerConfig, scenario_samples
 
+    def frame(scenario_id, mu, sight):
+        columns = assess_columns(mu, sight, args.grade, args.design_speed, catalog, joint)
+        return assessed_text(np.full(len(mu), scenario_id), columns), columns["risk_score"]
+
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
-    blocks = count()
     for scenario, mu, sight in scenario_samples(config, catalog):
         for start in range(0, len(mu), BLOCK_ROWS):
-            if next(blocks) % size != rank:
-                yield None
-                continue
             block = slice(start, start + BLOCK_ROWS)
-            columns = assess_columns(mu[block], sight[block], args.grade, args.design_speed,
-                                     catalog, joint)
-            keys = np.full(len(columns["risk_score"]), scenario.scenario_id)
-            yield assessed_text(keys, columns), columns["risk_score"]
+            yield partial(frame, scenario.scenario_id, mu[block], sight[block])
 
 
 def _one_thread() -> bool:
@@ -119,14 +116,18 @@ def _processes(fills: bool) -> int:
     return min(PROCESSES, len(os.sched_getaffinity(0)), _cgroup_cpus() or PROCESSES)
 
 
+class WorkerError(Exception):
+    """A worker ended without its block. Not an OSError: that is the output's."""
+
+
 @contextmanager
-def _workers(frames, size: int):
-    """Fork workers 1 to size - 1 and yield [(pid, read end of its pipe)] by
-    rank; on exit close the read ends and reap every worker. Worker `rank`
-    pickles each frame of frames(rank, size) that is not None into its own
-    pipe, or the exception that stopped it, and ends with os._exit. If a
-    fork fails, the workers already started are stopped and the list is
-    empty: the run is serial."""
+def _blocks(frames, fills: bool):
+    """Every block's frame in order. frames(parent), parent False in a worker,
+    gives a function per block that makes its frame. Workers 1 to size - 1
+    (`_processes(fills)`) fork on entry: worker `rank` pickles the frame of
+    each block k % size == rank, or the exception that stopped it, into its
+    pipe, for the parent to raise in its turn. On exit the pipes are closed and
+    every worker reaped. After a failed fork, the run is serial."""
     import fcntl
     import pickle
 
@@ -136,9 +137,22 @@ def _workers(frames, size: int):
         while workers:
             pid, pipe = workers.pop()
             pipe.close()  # a worker still writing stops at its next block
-            with suppress(ChildProcessError):  # reaped already by _received
+            with suppress(ChildProcessError):  # reaped already by received()
                 os.waitpid(pid, 0)
 
+    def received(k):
+        pid, pipe = workers[k % size - 1]
+        try:
+            frame = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise WorkerError(f"worker process {pid} {how} before block {k}") from None
+        if isinstance(frame, BaseException):
+            raise frame
+        return frame
+
+    size = _processes(fills)
     try:
         for rank in range(1, size):
             read_fd, write_fd = os.pipe()
@@ -162,10 +176,9 @@ def _workers(frames, size: int):
                         pipe.close()
                     with open(write_fd, "wb") as pipe:
                         try:
-                            for frame in frames(rank, size):
-                                if frame is not None:
-                                    pickle.dump(frame, pipe)
-                                    pipe.flush()
+                            for block in islice(frames(False), rank, None, size):
+                                pickle.dump(block(), pipe)
+                                pipe.flush()
                             code = 0
                         except BaseException as exc:  # the parent raises it in order
                             pipe.write(pickle.dumps(exc))
@@ -173,38 +186,21 @@ def _workers(frames, size: int):
                     os._exit(code)
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
-        yield workers
+        size = len(workers) + 1  # 1 after a failed fork
+        yield (block() if k % size == 0 else received(k) for k, block in enumerate(frames(True)))
     finally:
         stop()
-
-
-def _received(worker, block: int):
-    """The next frame from a worker's pipe; an exception it sent is raised.
-    A worker that ended without sending it raises ChildProcessError, with the
-    worker's exit status."""
-    import pickle
-
-    pid, pipe = worker
-    try:
-        frame = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise ChildProcessError(f"worker process {pid} {how} before block {block}") from None
-    if isinstance(frame, BaseException):
-        raise frame
-    return frame
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     catalog, table_source = _resolve_catalog(args.config)
     p_f, p_v, joint = _build_joint(catalog)
     per_scenario = -(-args.samples // BLOCK_ROWS)
+    scenarios = scenario_grid(catalog)
     # Blocks go round-robin over the processes. Where a scenario fills no
-    # block, the run stays serial.
-    size = _processes(args.samples >= BLOCK_ROWS)
-    with _workers(partial(_sample_blocks, args, catalog, joint), size) as workers:
-        size = len(workers) + 1
+    # block, or the run has one block, the run stays serial.
+    fills = args.samples >= BLOCK_ROWS and len(scenarios) * per_scenario > 1
+    with _blocks(lambda parent: _sample_blocks(args, catalog, joint), fills) as blocks:
         # numpy loads only in simulate and replay: assess and matrix start without it.
         import numpy as np
 
@@ -212,12 +208,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
 
         config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
-        grade, design = args.grade, args.design_speed
         # A first pass raises at the first draw outside the domain, with the
         # reading's message, before any file is written.
         for _, mu, sight in scenario_samples(config, catalog):
-            for i in np.flatnonzero(~valid_readings(mu, sight, grade, design)):
-                EnvironmentReading(float(mu[i]), float(sight[i]), grade, design)
+            for i in np.flatnonzero(~valid_readings(mu, sight, args.grade, args.design_speed)):
+                EnvironmentReading(float(mu[i]), float(sight[i]), args.grade, args.design_speed)
         stats, scores = [], []
 
         out_dir = Path(args.out)
@@ -229,9 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     out.write(",".join(SAMPLES_COLUMNS) + "\n")
                     # Every block in order, each worker's as it sends them; a
                     # scenario's stats row is made once its last block is in.
-                    scenarios = scenario_grid(catalog)
-                    for k, frame in enumerate(_sample_blocks(args, catalog, joint, 0, size)):
-                        text, block_scores = frame or _received(workers[k % size - 1], k)
+                    for k, (text, block_scores) in enumerate(blocks):
                         out.write(text)
                         scores.append(block_scores)
                         if (k + 1) % per_scenario == 0:
@@ -266,8 +259,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 },
                 outputs={**outputs, "manifest.json": 1},
             )
-        except ChildProcessError:
-            raise  # a worker's end, not the output's: main() maps it
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -294,24 +285,20 @@ def _number(text: str, default) -> float:
         return math.nan  # outside the domain: the row is then parsed alone for its message
 
 
-def _log_frames(header: list[str], design_speed: float, catalog, joint, records, rank: int,
-                size: int):
-    """A frame for each block of BLOCK_ROWS numbered log records, in order.
-    This process scores every size-th block from the rank-th: its frame is
-    (warning lines, CSV text of its valid readings); every other block is
-    only read, and its frame is None. Blank lines are skipped; a row not as
-    wide as the header is skipped with a warning, as is each row the domain
-    mask rejects, parsed alone for its message. Warnings are in line order."""
+def _log_frames(header: list[str], design_speed: float, catalog, joint, records):
+    """A function for each block of BLOCK_ROWS numbered log records, in
+    order, that scores it: its frame is (warning lines, CSV text of its
+    valid readings). Blank lines are skipped; a row not as wide as the
+    header is skipped with a warning, as is each row the domain mask
+    rejects, parsed alone for its message. Warnings are in line order."""
     import numpy as np
 
     from .batch import assess_columns, valid_readings
 
     # An empty grade or design_speed cell, or no such column, takes the default.
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
-    for k, block in enumerate(iter(lambda: list(islice(records, BLOCK_ROWS)), [])):
-        if k % size != rank:
-            yield None
-            continue
+
+    def frame(block):
         kept = [(line, row) for line, row in block if len(row) == len(header)]
         warnings = [(line, "field count differs from header")
                     for line, row in block if row and len(row) != len(header)]
@@ -323,13 +310,16 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records,
             try:
                 EnvironmentReading(*(float(column[i] or d) for column, d in texts))
             except ValueError as exc:
-                warnings.append((kept[i][0], exc))
+                warnings.append((kept[i][0], str(exc)))  # no traceback: it holds this frame
         text = ""
         if ok.any():
             text = assessed_text(np.array(fields["timestamp"], dtype=object)[ok],
                                  assess_columns(*(v[ok] for v in values), catalog, joint))
-        yield "".join(f"warning: line {line + 1}: skipped ({reason})\n"
-                      for line, reason in sorted(warnings, key=itemgetter(0))), text
+        return "".join(f"warning: line {line + 1}: skipped ({reason})\n"
+                       for line, reason in sorted(warnings, key=itemgetter(0))), text
+
+    for block in iter(lambda: list(islice(records, BLOCK_ROWS)), []):
+        yield partial(frame, block)
 
 
 def _own_records(path: Path, log: os.stat_result):
@@ -352,17 +342,6 @@ def _raised(exc: BaseException):
     """An iterator that raises exc when it is first read."""
     raise exc
     yield
-
-
-def _replayed(frames, workers):
-    """The CSV text of each block that has valid readings, in order, each
-    worker's block from its pipe; every block's warnings go to stderr first."""
-    size = len(workers) + 1
-    for k, frame in enumerate(frames):
-        warnings, text = frame or _received(workers[k % size - 1], k)
-        sys.stderr.write(warnings)
-        if text:
-            yield text
 
 
 @contextmanager
@@ -435,21 +414,24 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 records = _raised(exc)
             # Each process reads every record, so that block k holds the same
             # records in all of them, and scores only its own blocks.
-            log_frames = partial(_log_frames, header, args.design_speed, catalog, joint)
-            with _workers(lambda rank, size: log_frames(_own_records(input_path, log), rank, size),
-                          _processes(len(head) > BLOCK_ROWS)) as workers:
-                texts = _replayed(log_frames(chain(head, records), 0, len(workers) + 1), workers)
-                first = next(texts, None)
-                if first is None:
+            def frames(parent):
+                own = chain(head, records) if parent else _own_records(input_path, log)
+                return _log_frames(header, args.design_speed, catalog, joint, own)
+            with _blocks(frames, len(head) > BLOCK_ROWS) as blocks:
+                for warnings, first in blocks:
+                    sys.stderr.write(warnings)
+                    if first:
+                        break
+                else:
                     print("error: no valid rows in input", file=sys.stderr)
                     return EXIT_NODATA
                 try:
                     with _replay_output(args.out, log) as out:
                         out.write(",".join(REPLAY_COLUMNS) + "\n")
                         out.write(first)
-                        out.writelines(texts)
-                except ChildProcessError:
-                    raise  # a worker's end, not the output's: main() maps it
+                        for warnings, text in blocks:
+                            sys.stderr.write(warnings)
+                            out.write(text)
                 except OSError as exc:
                     print(f"error: cannot write output: {exc}", file=sys.stderr)
                     return EXIT_IO
@@ -540,13 +522,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # 0 after --help or --version, else EXIT_USAGE
         return exc.code
-    # The one place an invalid flag, reading, --config or a run too large for
-    # memory becomes exit 64; commands handle only errors that map elsewhere.
+    # The one place an invalid flag, reading or --config, a worker's end or a run too large
+    # for memory becomes exit 64; commands handle only errors that map elsewhere.
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, WorkerError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # Ctrl-C, after the command has removed its partial output
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -228,24 +229,54 @@ def in_a_worker(parent, action):
     return wrapped
 
 
-def forking_run(argv):
+def forking_run(argv, prelude=""):
     """hazardrisk argv in a fresh interpreter in development mode, where a
     DeprecationWarning is an error (Python 3.12+ warns on a fork while threads
-    run: numpy loads after it). Two CPUs and no quota are reported, so that
-    the run forks on any machine; stdout is the number of forks."""
+    run: numpy loads after it), after the Python source `prelude`. Two CPUs
+    and no quota are reported, so that the run forks on any machine; stdout
+    is the number of forks. A child process left after the run exits 1."""
     script = ("import os, sys\n"
               "import hazardrisk.cli\n"
+              + prelude +
               "forks, fork = [], os.fork\n"
               "os.fork = lambda: forks.append(1) or fork()\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "hazardrisk.cli._cgroup_cpus = lambda: None\n"
               "code = hazardrisk.cli.main(sys.argv[1:])\n"
               "print(len(forks))\n"
+              "try:\n"
+              "    os.waitpid(-1, os.WNOHANG)\n"
+              "    code = 'error: a child process is left'\n"
+              "except ChildProcessError:\n"
+              "    pass\n"
               "sys.exit(code)\n")
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+
+
+# Blocks of 50 rows; the parent, or the worker, sends itself SIGINT as a
+# Ctrl-C would after the first block it formats. numpy is not loaded yet.
+# A process that starts with SIGINT ignored (a background job of a
+# non-interactive shell, say) keeps ignoring it: the prelude installs the
+# handler Python gives a process started in the foreground.
+INTERRUPTED = ("import signal\n"
+               "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+               "hazardrisk.cli.BLOCK_ROWS = 50\n"
+               "parent, assessed_text, calls = os.getpid(), hazardrisk.cli.assessed_text, []\n"
+               "def interrupting(*args):\n"
+               "    calls.append(1)\n"
+               "    if len(calls) == 2 and (os.getpid() == parent) == {in_parent}:\n"
+               "        os.kill(os.getpid(), signal.SIGINT)\n"
+               "    return assessed_text(*args)\n"
+               "hazardrisk.cli.assessed_text = interrupting\n")
+
+# One friction band and one visibility band: a single scenario.
+ONE_SCENARIO_RATES = ("dimension,label,lower,upper,crash_rate\n"
+                      "friction,Dry,0.7,0.9,1.9\n"
+                      "visibility,Clear,1640.0,6562.0,0.685\n"
+                      "sampling_visibility,Clear,4000.0,6500.0,0.685\n")
 
 
 class TestSimulateWorkers:
@@ -273,6 +304,18 @@ class TestSimulateWorkers:
             outputs.append({p.name: p.read_bytes() for p in (tmp_path / str(n)).iterdir()})
         assert len(outputs[0]) == 6
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_left()
+
+    # Blocks of 3: three samples of one scenario are the run's only block,
+    # which leaves a worker nothing to send; four make two blocks.
+    @pytest.mark.parametrize("samples, forked", [(3, 0), (4, 1)])
+    def test_run_of_one_block_does_not_fork(self, tmp_path, cpus, samples, forked):
+        (tmp_path / "rates.csv").write_text(ONE_SCENARIO_RATES)
+        forks = cpus(2)
+        assert main(["simulate", "--samples", str(samples), "--config", str(tmp_path / "rates.csv"),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert len(forks) == forked
+        assert len(read_csv(tmp_path / "s" / "samples.csv")) == samples
         assert_no_child_left()
 
     def test_no_more_than_two_processes(self, tmp_path, cpus):
@@ -376,6 +419,15 @@ class TestSimulateWorkers:
         result = forking_run(["simulate", "--samples", "2048", "--out", str(tmp_path)])
         assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
         assert len(read_csv(tmp_path / "samples.csv")) == 16 * 2048
+
+    @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "worker"])
+    def test_interrupt_exits_130_and_leaves_no_output(self, tmp_path, in_parent):
+        out = tmp_path / "made" / "s"
+        result = forking_run(["simulate", "--samples", "100", "--out", str(out)],
+                             INTERRUPTED.format(in_parent=in_parent))
+        assert (result.returncode, result.stdout, result.stderr) == (130, "1\n",
+                                                                     "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def replay_log(rows):
@@ -573,6 +625,31 @@ class TestReplayWorkers:
         assert forked == (tmp_path / "here.csv").read_bytes()
         assert_no_child_left()
 
+    # The parent is interrupted in its second block (2) with no --out file
+    # yet, the worker in its own (3) with an earlier --out file.
+    @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "worker"])
+    def test_interrupt_exits_130_after_the_warnings_written(self, tmp_path, capsys, in_parent):
+        src = tmp_path / "log.csv"
+        src.write_text(replay_log(300))
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "whole.csv")]) == 0
+        warnings = capsys.readouterr().err
+        (tmp_path / "whole.csv").unlink()
+        out = tmp_path / "assessed.csv"
+        if not in_parent:
+            out.write_bytes(b"earlier result\n")
+        result = forking_run(["replay", "--input", str(src), "--out", str(out)],
+                             INTERRUPTED.format(in_parent=in_parent))
+        assert (result.returncode, result.stdout) == (130, "1\n")
+        assert result.stderr.endswith("\nerror: interrupted\n")
+        written = result.stderr.removesuffix("error: interrupted\n")
+        assert written.startswith("warning: line ") and warnings.startswith(written)
+        assert len(written) < len(warnings)
+        if in_parent:
+            assert sorted(tmp_path.iterdir()) == [src]
+        else:
+            assert sorted(tmp_path.iterdir()) == [out, src]
+            assert out.read_bytes() == b"earlier result\n"
+
 
 class TestAssess:
     def test_icy_low_visibility_json(self, capsys):
@@ -621,6 +698,23 @@ class TestAssess:
 
 
 class TestReplay:
+    # A skipped row's exception holds a traceback, and with it the frame that
+    # scored the block: kept in a warning, it would leave every block's rows
+    # to the cyclic collector.
+    def test_scored_blocks_leave_no_reference_cycle(self, catalog, joint_table):
+        reader = csv.reader(io.StringIO(replay_log(300)))
+        header = next(reader)
+        frames = hazardrisk.cli._log_frames(header, 75.0, catalog, joint_table,
+                                            hazardrisk.cli.numbered_records(reader))
+        gc.collect()
+        gc.disable()
+        try:
+            warnings = "".join(frame()[0] for frame in frames)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert warnings.count("warning: line") == 180
+
     def test_replay_valid_file(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
         src.write_text(
