@@ -13,9 +13,9 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -42,11 +42,6 @@ CONFIG_ENV_VAR = "HAZARD_RISK_CONFIG"
 # Readings scored and written per block: memory does not grow with the input.
 BLOCK_ROWS = 1 << 11
 
-# The most processes that format one simulate run. Each draws every scenario
-# in full, so memory grows with their number; throughput and memory were
-# measured on 2 CPUs only.
-PROCESSES = 2
-
 
 def _resolve_catalog(config_path: str | None) -> tuple[BandCatalog, str]:
     """Catalog from --config, else $HAZARD_RISK_CONFIG, else built-in defaults."""
@@ -62,24 +57,34 @@ def _build_joint(catalog: BandCatalog):
     return p_f, p_v, joint_probability(p_f, p_v)
 
 
-def _sample_blocks(args: argparse.Namespace, catalog: BandCatalog, joint):
-    """A function for each BLOCK_ROWS block of the samples table, in order,
-    that formats it: its frame is (CSV text, risk scores). Each scenario is
-    drawn again from its own stream, in every process that reads this."""
-    import numpy as np
+def _numpy():
+    """numpy, loaded with one BLAS thread: neither simulate nor replay calls
+    BLAS, and OpenBLAS would otherwise start a thread per CPU as it loads,
+    which keeps the run from forking (`_one_thread`)."""
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+
+    return numpy
+
+
+def _sample_blocks(config, args: argparse.Namespace, catalog: BandCatalog, joint):
+    """(rows, function) for each block of at most BLOCK_ROWS rows of the
+    samples table, in order; the function formats it: its frame is (CSV text,
+    risk scores). Each scenario is drawn again from its own stream, in every
+    process that reads this."""
+    np = _numpy()
 
     from .batch import assess_columns
-    from .sampler import SamplerConfig, scenario_samples
+    from .sampler import scenario_samples
 
     def frame(scenario_id, mu, sight):
         columns = assess_columns(mu, sight, args.grade, args.design_speed, catalog, joint)
         return assessed_text(np.full(len(mu), scenario_id), columns), columns["risk_score"]
 
-    config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
     for scenario, mu, sight in scenario_samples(config, catalog):
         for start in range(0, len(mu), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            yield partial(frame, scenario.scenario_id, mu[block], sight[block])
+            yield len(mu[block]), partial(frame, scenario.scenario_id, mu[block], sight[block])
 
 
 def _one_thread() -> bool:
@@ -104,44 +109,64 @@ def _cgroup_cpus(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup
         return None
 
 
-def _processes(fills: bool) -> int:
-    """How many processes format a run: this one and a worker per further
-    CPU, up to PROCESSES in all. A run whose input does not fill more than
-    one block (`fills` False) stays serial: it costs less than a fork. So
-    does a process with a second thread (one that loaded numpy, say), which
-    a fork could leave holding a lock. The CPUs are those of the affinity
-    mask, no more than the cgroup's quota allows."""
-    if not fills or not hasattr(os, "sched_getaffinity") or not _one_thread():
-        return 1
-    return min(PROCESSES, len(os.sched_getaffinity(0)), _cgroup_cpus() or PROCESSES)
+def _forks() -> bool:
+    """Whether a worker may format half a run: this process runs one thread,
+    as a fork could leave another thread's lock held, and may run on a second
+    CPU, of its affinity mask and within its cgroup's quota."""
+    return (hasattr(os, "sched_getaffinity") and _one_thread()
+            and min(len(os.sched_getaffinity(0)), _cgroup_cpus() or 2) >= 2)
 
 
 class WorkerError(Exception):
     """A worker ended without its block. Not an OSError: that is the output's."""
 
 
-@contextmanager
-def _blocks(frames, fills: bool):
+def _blocks(frames):
     """Every block's frame in order. frames(parent), parent False in a worker,
-    gives a function per block that makes its frame. Workers 1 to size - 1
-    (`_processes(fills)`) fork on entry: worker `rank` pickles the frame of
-    each block k % size == rank, or the exception that stopped it, into its
-    pipe, for the parent to raise in its turn. On exit the pipes are closed and
-    every worker reaped. After a failed fork, the run is serial."""
+    gives (rows, function) per block, the function making its frame. Once a
+    run reaches block 1 after a block 0 of BLOCK_ROWS rows, one worker forks
+    if `_forks()`: a smaller run costs less than a fork. The worker pickles
+    the frame of each odd block, or the exception that stopped it, into its
+    pipe, for the parent to raise in its turn; the parent makes the even
+    blocks. When the stream ends or is closed, the pipe is closed and the
+    worker reaped. After a failed fork, the run is serial."""
     import fcntl
     import pickle
 
     workers = []
 
-    def stop():
-        while workers:
-            pid, pipe = workers.pop()
-            pipe.close()  # a worker still writing stops at its next block
-            with suppress(ChildProcessError):  # reaped already by received()
-                os.waitpid(pid, 0)
+    def fork():
+        read_fd, write_fd = os.pipe()
+        # A 1 MB pipe holds several blocks: the worker runs ahead of the parent.
+        with suppress(AttributeError, OSError):
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the serial loop needs none
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                # A read end held open here would keep the pipe from
+                # breaking when the parent closes its own.
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    try:
+                        for _, block in islice(frames(False), 1, None, 2):
+                            pickle.dump(block(), pipe)
+                            pipe.flush()
+                        code = 0
+                    except BaseException as exc:  # the parent raises it in order
+                        pipe.write(pickle.dumps(exc))
+            finally:
+                os._exit(code)  # flushing none of the parent's output buffers, copied here
+        os.close(write_fd)
+        workers.append((pid, open(read_fd, "rb")))
 
     def received(k):
-        pid, pipe = workers[k % size - 1]
+        pid, pipe = workers[0]
         try:
             frame = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
@@ -152,116 +177,93 @@ def _blocks(frames, fills: bool):
             raise frame
         return frame
 
-    size = _processes(fills)
     try:
-        for rank in range(1, size):
-            read_fd, write_fd = os.pipe()
-            # A 1 MB pipe holds several blocks: a worker runs ahead of the parent.
-            with suppress(AttributeError, OSError):
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the serial loop needs none
-                os.close(read_fd)
-                os.close(write_fd)
-                stop()
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    # A read end held open here would keep a pipe from
-                    # breaking when the parent closes its own.
-                    os.close(read_fd)
-                    for _, pipe in workers:
-                        pipe.close()
-                    with open(write_fd, "wb") as pipe:
-                        try:
-                            for block in islice(frames(False), rank, None, size):
-                                pickle.dump(block(), pipe)
-                                pipe.flush()
-                            code = 0
-                        except BaseException as exc:  # the parent raises it in order
-                            pipe.write(pickle.dumps(exc))
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            workers.append((pid, open(read_fd, "rb")))
-        size = len(workers) + 1  # 1 after a failed fork
-        yield (block() if k % size == 0 else received(k) for k, block in enumerate(frames(True)))
+        for k, (rows, block) in enumerate(frames(True)):
+            if k == 0:
+                full = rows == BLOCK_ROWS
+            elif k == 1 and full and _forks():
+                fork()
+            yield received(k) if workers and k % 2 else block()
     finally:
-        stop()
+        for pid, pipe in workers:
+            pipe.close()  # a worker still writing stops at its next block
+            with suppress(ChildProcessError):  # reaped already by received()
+                os.waitpid(pid, 0)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     catalog, table_source = _resolve_catalog(args.config)
     p_f, p_v, joint = _build_joint(catalog)
+    # numpy loads only in simulate and replay: assess and matrix start without it.
+    np = _numpy()
+
+    from .batch import valid_readings
+    from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+
+    config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
+    # A first pass raises at the first draw outside the domain, with the
+    # reading's message, before any file is written.
+    for _, mu, sight in scenario_samples(config, catalog):
+        for i in np.flatnonzero(~valid_readings(mu, sight, args.grade, args.design_speed)):
+            EnvironmentReading(float(mu[i]), float(sight[i]), args.grade, args.design_speed)
     per_scenario = -(-args.samples // BLOCK_ROWS)
     scenarios = scenario_grid(catalog)
-    # Blocks go round-robin over the processes. Where a scenario fills no
-    # block, or the run has one block, the run stays serial.
-    fills = args.samples >= BLOCK_ROWS and len(scenarios) * per_scenario > 1
-    with _blocks(lambda parent: _sample_blocks(args, catalog, joint), fills) as blocks:
-        # numpy loads only in simulate and replay: assess and matrix start without it.
-        import numpy as np
+    stats, scores = [], []
 
-        from .batch import valid_readings
-        from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+    out_dir = Path(args.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written = []
 
-        config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
-        # A first pass raises at the first draw outside the domain, with the
-        # reading's message, before any file is written.
-        for _, mu, sight in scenario_samples(config, catalog):
-            for i in np.flatnonzero(~valid_readings(mu, sight, args.grade, args.design_speed)):
-                EnvironmentReading(float(mu[i]), float(sight[i]), args.grade, args.design_speed)
-        stats, scores = [], []
+    def output(name):
+        written.append(out_dir / name)
+        return out_dir / name
 
-        out_dir = Path(args.out)
-        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / "samples.csv", "w", newline="", encoding="utf-8") as out:
-                try:
-                    out.write(",".join(SAMPLES_COLUMNS) + "\n")
-                    # Every block in order, each worker's as it sends them; a
-                    # scenario's stats row is made once its last block is in.
-                    for k, (text, block_scores) in enumerate(blocks):
-                        out.write(text)
-                        scores.append(block_scores)
-                        if (k + 1) % per_scenario == 0:
-                            stats.append(scenario_stats(scenarios[k // per_scenario],
-                                                        np.concatenate(scores)))
-                            scores = []
-                except BaseException:
-                    # A failure here (a worker's, say) leaves no half-written
-                    # table, nor a directory made for it.
-                    with suppress(OSError):
-                        os.unlink(out.name)
-                        for d in made:
-                            d.rmdir()
-                    raise
-            outputs = {
-                "samples.csv": len(stats) * config.samples_per_scenario,
-                "scenario_stats.csv": write_scenario_stats(out_dir / "scenario_stats.csv",
-                                                           by_mean_risk(stats)),
-                "heatmap.csv": write_heatmap(out_dir / "heatmap.csv"),
-                "marginals.csv": write_marginals(out_dir / "marginals.csv", catalog, p_f, p_v),
-                "joint.csv": write_joint(out_dir / "joint.csv", joint),
-            }
-            write_manifest(
-                out_dir / "manifest.json", "simulate", __version__,
-                config={
-                    "seed": config.seed,
-                    "samples_per_scenario": config.samples_per_scenario,
-                    "sigma_rule": config.sigma_rule,
-                    "design_speed_mph": args.design_speed,
-                    "grade": args.grade,
-                    "table_source": table_source,
-                },
-                outputs={**outputs, "manifest.json": 1},
-            )
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
+    blocks = _blocks(lambda parent: _sample_blocks(config, args, catalog, joint))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with closing(blocks), open(output("samples.csv"), "w", newline="", encoding="utf-8") as out:
+            out.write(",".join(SAMPLES_COLUMNS) + "\n")
+            # Every block in order, the worker's as it sends them; a
+            # scenario's stats row is made once its last block is in.
+            for k, (text, block_scores) in enumerate(blocks):
+                out.write(text)
+                scores.append(block_scores)
+                if (k + 1) % per_scenario == 0:
+                    stats.append(scenario_stats(scenarios[k // per_scenario],
+                                                np.concatenate(scores)))
+                    scores = []
+        outputs = {
+            "samples.csv": len(stats) * config.samples_per_scenario,
+            "scenario_stats.csv": write_scenario_stats(output("scenario_stats.csv"),
+                                                       by_mean_risk(stats)),
+            "heatmap.csv": write_heatmap(output("heatmap.csv")),
+            "marginals.csv": write_marginals(output("marginals.csv"), catalog, p_f, p_v),
+            "joint.csv": write_joint(output("joint.csv"), joint),
+        }
+        write_manifest(
+            output("manifest.json"), "simulate", __version__,
+            config={
+                "seed": config.seed,
+                "samples_per_scenario": config.samples_per_scenario,
+                "sigma_rule": config.sigma_rule,
+                "design_speed_mph": args.design_speed,
+                "grade": args.grade,
+                "table_source": table_source,
+            },
+            outputs={**outputs, "manifest.json": 1},
+        )
+    except BaseException as exc:
+        # A failure here (a worker's, say, or a Ctrl-C) leaves none of the
+        # files this run wrote, nor a directory made for them.
+        with suppress(OSError):
+            for path in written:
+                path.unlink(missing_ok=True)
+            for d in made:
+                d.rmdir()
+        if not isinstance(exc, OSError):
+            raise
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
@@ -286,12 +288,12 @@ def _number(text: str, default) -> float:
 
 
 def _log_frames(header: list[str], design_speed: float, catalog, joint, records):
-    """A function for each block of BLOCK_ROWS numbered log records, in
-    order, that scores it: its frame is (warning lines, CSV text of its
-    valid readings). Blank lines are skipped; a row not as wide as the
-    header is skipped with a warning, as is each row the domain mask
-    rejects, parsed alone for its message. Warnings are in line order."""
-    import numpy as np
+    """(rows, function) for each block of at most BLOCK_ROWS numbered log
+    records, in order; the function scores it: its frame is (warning lines,
+    CSV text of its valid readings). Blank lines are skipped; a row not as
+    wide as the header is skipped with a warning, as is each row the domain
+    mask rejects, parsed alone for its message. Warnings are in line order."""
+    np = _numpy()
 
     from .batch import assess_columns, valid_readings
 
@@ -319,7 +321,7 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
                        for line, reason in sorted(warnings, key=itemgetter(0))), text
 
     for block in iter(lambda: list(islice(records, BLOCK_ROWS)), []):
-        yield partial(frame, block)
+        yield len(block), partial(frame, block)
 
 
 def _own_records(path: Path, log: os.stat_result):
@@ -336,12 +338,6 @@ def _own_records(path: Path, log: os.stat_result):
         reader = csv.reader(fh)
         next(reader)
         yield from numbered_records(reader)
-
-
-def _raised(exc: BaseException):
-    """An iterator that raises exc when it is first read."""
-    raise exc
-    yield
 
 
 @contextmanager
@@ -403,21 +399,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
             log = os.fstat(fh.fileno())
-            # The first block and the record after it are read before numpy
-            # loads: a log that fits in one block stays serial. A failure to
-            # read that record is raised in its turn, after the first block.
-            records = numbered_records(reader)
-            head = list(islice(records, BLOCK_ROWS))
-            try:
-                head += islice(records, 1)
-            except (csv.Error, UnicodeDecodeError) as exc:
-                records = _raised(exc)
             # Each process reads every record, so that block k holds the same
-            # records in all of them, and scores only its own blocks.
+            # records in both, and scores only its own blocks.
             def frames(parent):
-                own = chain(head, records) if parent else _own_records(input_path, log)
+                own = numbered_records(reader) if parent else _own_records(input_path, log)
                 return _log_frames(header, args.design_speed, catalog, joint, own)
-            with _blocks(frames, len(head) > BLOCK_ROWS) as blocks:
+            with closing(_blocks(frames)) as blocks:
                 for warnings, first in blocks:
                     sys.stderr.write(warnings)
                     if first:

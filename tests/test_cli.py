@@ -229,12 +229,18 @@ def in_a_worker(parent, action):
     return wrapped
 
 
-def forking_run(argv, prelude=""):
+# Variables that set the thread count of a BLAS library numpy may load.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
+def forking_run(argv, prelude="", blas=None):
     """hazardrisk argv in a fresh interpreter in development mode, where a
     DeprecationWarning is an error (Python 3.12+ warns on a fork while threads
-    run: numpy loads after it), after the Python source `prelude`. Two CPUs
-    and no quota are reported, so that the run forks on any machine; stdout
-    is the number of forks. A child process left after the run exits 1."""
+    run, BLAS's among them), after the Python source `prelude`. The child gets
+    no BLAS thread variable but OPENBLAS_NUM_THREADS=`blas`, if given: main()
+    pins BLAS in this process, which the child must not inherit. Two CPUs and
+    no quota are reported, so that the run forks on any machine; stdout is
+    the number of forks. A child process left after the run exits 1."""
     script = ("import os, sys\n"
               "import hazardrisk.cli\n"
               + prelude +
@@ -250,14 +256,26 @@ def forking_run(argv, prelude=""):
               "except ChildProcessError:\n"
               "    pass\n"
               "sys.exit(code)\n")
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    if blas:
+        env["OPENBLAS_NUM_THREADS"] = blas
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", script, *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+# A write past 1 MB into any file fails with EFBIG, as on a full disk: the
+# signal that would otherwise kill the process is ignored. Pipes have no limit.
+FILE_SIZE_LIMIT = ("import resource, signal\n"
+                   "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                   "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+                   "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))\n")
 
 
 # Blocks of 50 rows; the parent, or the worker, sends itself SIGINT as a
-# Ctrl-C would after the first block it formats. numpy is not loaded yet.
+# Ctrl-C would after the first block it formats. The command loads numpy
+# itself, with one BLAS thread, before the fork.
 # A process that starts with SIGINT ignored (a background job of a
 # non-interactive shell, say) keeps ignoring it: the prelude installs the
 # handler Python gives a process started in the foreground.
@@ -281,7 +299,7 @@ ONE_SCENARIO_RATES = ("dimension,label,lower,upper,crash_rate\n"
 
 class TestSimulateWorkers:
     # 7 samples a scenario in blocks of 3: each scenario's 3 blocks straddle
-    # the turns of the parent and its workers.
+    # the turns of the parent and its worker.
     FLAGS = ["simulate", "--seed", "5", "--samples", "7"]
 
     # A label the csv module quotes: a comma, double quotes and a newline.
@@ -289,7 +307,6 @@ class TestSimulateWorkers:
     def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
                                                      default_rates_csv, fog_label):
         monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
-        monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
         flags = list(self.FLAGS)
         if fog_label:
             assert default_rates_csv.count(",Dense Fog,") == 2
@@ -297,13 +314,13 @@ class TestSimulateWorkers:
             (tmp_path / "rates.csv").write_text(rates)
             flags += ["--config", str(tmp_path / "rates.csv")]
         outputs = []
-        for n in (1, 2, 3):
+        for n in (1, 2):
             forks = cpus(n)
             assert main(flags + ["--out", str(tmp_path / str(n))]) == 0
             assert len(forks) == n - 1
             outputs.append({p.name: p.read_bytes() for p in (tmp_path / str(n)).iterdir()})
         assert len(outputs[0]) == 6
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[1] == outputs[0]
         assert_no_child_left()
 
     # Blocks of 3: three samples of one scenario are the run's only block,
@@ -323,6 +340,13 @@ class TestSimulateWorkers:
         assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 0
         assert len(forks) == 1
         assert_no_child_left()
+
+    # Blocks of 3: two samples a scenario make 16 blocks, none of them full.
+    def test_samples_below_a_block_do_not_fork(self, tmp_path, cpus):
+        forks = cpus(2)
+        assert main(["simulate", "--samples", "2", "--out", str(tmp_path / "s")]) == 0
+        assert forks == []
+        assert len(read_csv(tmp_path / "s" / "samples.csv")) == 32
 
     # --out is made by the run, or holds a file already.
     @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
@@ -361,39 +385,39 @@ class TestSimulateWorkers:
         assert_no_child_left()
 
     def test_failed_check_pass_writes_nothing(self, tmp_path, capfd, cpus):
-        cpus(2)
+        forks = cpus(2)
         assert main(self.FLAGS + ["--grade", "-0.1", "--out", str(tmp_path / "s")]) == 64
         assert capfd.readouterr().err.startswith("error: mu + grade must be > 0")
         assert not (tmp_path / "s").exists()
-        assert_no_child_left()
+        assert forks == []
 
-    # At 20000 samples a worker has more than its 1 MB pipe holds to send
-    # when the parent stops reading.
+    # An --out that cannot be made fails before the fork (7 samples, blocks
+    # of 3). At 20000 samples a write past 1 MB fails after the fork, while
+    # the worker has more left to send than its 1 MB pipe holds: it ends once
+    # the parent closes the pipe, and is reaped.
     @pytest.mark.parametrize("samples", ["7", "20000"])
-    def test_unwritable_output_exits_2(self, tmp_path, cpus, samples):
-        forks = cpus(2)
-        target = tmp_path / "blocked"
-        target.write_text("file, not a directory")
-        assert main(["simulate", "--samples", samples, "--out", str(target)]) == 2
-        assert len(forks) == 1
-        assert_no_child_left()
+    def test_unwritable_output_exits_2(self, tmp_path, samples):
+        prelude, forks = FILE_SIZE_LIMIT, "1\n"
+        if samples == "7":
+            (tmp_path / "made").write_text("file, not a directory")
+            prelude, forks = prelude + "hazardrisk.cli.BLOCK_ROWS = 3\n", "0\n"
+        result = forking_run(["simulate", "--samples", samples,
+                              "--out", str(tmp_path / "made" / "s")], prelude)
+        assert (result.returncode, result.stdout) == (2, forks)
+        assert result.stderr.startswith("error: cannot write output: ")
+        assert result.stderr.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == (["made"] if samples == "7" else [])
 
-    # The first fork fails, or the second, after one worker has started.
-    @pytest.mark.parametrize("failing", [1, 2])
-    def test_failed_fork_runs_serial(self, tmp_path, monkeypatch, cpus, failing):
-        monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
-        forks = cpus(3)
-        counted = os.fork
+    def test_failed_fork_runs_serial(self, tmp_path, monkeypatch, cpus):
+        forks = cpus(2)
 
         def fork():
-            if len(forks) + 1 == failing:
-                forks.append(1)
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return counted()
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
         assert main(self.FLAGS + ["--out", str(tmp_path / "forked")]) == 0
-        assert len(forks) == failing
+        assert len(forks) == 1
         assert_no_child_left()
         cpus(1)
         assert main(self.FLAGS + ["--out", str(tmp_path / "serial")]) == 0
@@ -415,10 +439,13 @@ class TestSimulateWorkers:
             thread.join()
         assert forks == []
 
+    # With no BLAS variable set, and with one that asks for more threads.
     def test_fork_is_safe_in_a_fresh_interpreter(self, tmp_path):
-        result = forking_run(["simulate", "--samples", "2048", "--out", str(tmp_path)])
-        assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
-        assert len(read_csv(tmp_path / "samples.csv")) == 16 * 2048
+        for blas in (None, "4"):
+            out = tmp_path / str(blas)
+            result = forking_run(["simulate", "--samples", "2048", "--out", str(out)], blas=blas)
+            assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+            assert len(read_csv(out / "samples.csv")) == 16 * 2048
 
     @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "worker"])
     def test_interrupt_exits_130_and_leaves_no_output(self, tmp_path, in_parent):
@@ -428,6 +455,41 @@ class TestSimulateWorkers:
         assert (result.returncode, result.stdout, result.stderr) == (130, "1\n",
                                                                      "error: interrupted\n")
         assert list(tmp_path.iterdir()) == []
+
+    # A Ctrl-C while heatmap.csv is written, or a write of joint.csv that
+    # fails, each after a first part of that file is written. The run removes
+    # the files it wrote and the directories it made; an earlier file it did
+    # not reach keeps its bytes.
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    @pytest.mark.parametrize("writer, failure, code, error", [
+        ("write_heatmap", "os.kill(os.getpid(), signal.SIGINT)", 130, "error: interrupted\n"),
+        ("write_joint", "raise OSError(28, 'No space left on device')", 2,
+         "error: cannot write output: [Errno 28] No space left on device\n"),
+    ], ids=["interrupted", "no_space"])
+    def test_failure_after_the_samples_leaves_no_output(self, tmp_path, existing, writer,
+                                                         failure, code, error):
+        out = tmp_path / "made" / "s"
+        earlier = {}
+        if existing:
+            out.mkdir(parents=True)
+            earlier = {"keep.txt": b"kept", "marginals.csv": b"earlier"}
+            for name, data in earlier.items():
+                (out / name).write_bytes(data)
+        prelude = ("import signal\n"
+                   "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                   "def failing(path, *args):\n"
+                   "    with open(path, 'w') as fh:\n"
+                   "        fh.write('part')\n"
+                   f"    {failure}\n"
+                   f"hazardrisk.cli.{writer} = failing\n")
+        result = forking_run(["simulate", "--samples", "5", "--out", str(out)], prelude)
+        assert (result.returncode, result.stdout, result.stderr) == (code, "0\n", error)
+        if writer == "write_joint":  # marginals.csv is written before joint.csv
+            earlier.pop("marginals.csv", None)
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        else:
+            assert list(tmp_path.iterdir()) == []
 
 
 def replay_log(rows):
@@ -446,20 +508,18 @@ def replay_log(rows):
 
 class TestReplayWorkers:
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, capfd, monkeypatch, cpus,
-                                                     to_file):
-        monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, capfd, cpus, to_file):
         src = tmp_path / "log.csv"
         src.write_text(replay_log(47))
         outputs = []
-        for n in (1, 2, 3):
+        for n in (1, 2):
             forks = cpus(n)
             out = tmp_path / f"{n}.csv"
             assert main(["replay", "--input", str(src)] + (["--out", str(out)] if to_file else [])) == 0
             assert len(forks) == n - 1
             captured = capfd.readouterr()
             outputs.append((captured, out.read_bytes() if to_file else None))
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[1] == outputs[0]
         captured, written = outputs[0]
         assert captured.err.count("warning: line") == 28
         assert captured.err.endswith("warning: line 51: skipped (could not convert string to "
@@ -528,9 +588,10 @@ class TestReplayWorkers:
         assert sorted(tmp_path.iterdir()) == [out, src]
         assert_no_child_left()
 
-    # The unreadable record is the one read ahead to decide on the fork (3),
-    # in the worker's block (4, 10) or in the parent's (6); a byte that is not
-    # UTF-8 comes past the first 8 kB that the file decodes at once.
+    # The unreadable record is in block 1 (3, 4), which the parent reads
+    # before it forks, in the parent's block 2 (6) or in the worker's block 3
+    # (10); a byte that is not UTF-8 comes past the first 8 kB that the file
+    # decodes at once.
     @pytest.mark.parametrize("fault, at", [
         ("csv", 3), ("csv", 4), ("csv", 6), ("csv", 10), ("utf8", 650), ("utf8", 1300)])
     def test_unreadable_log_exits_65_with_the_parents_line_number(self, tmp_path, capfd, cpus,
@@ -545,7 +606,7 @@ class TestReplayWorkers:
             forks = cpus(n)
             rc = main(["replay", "--input", str(src)])
             results.append((rc, capfd.readouterr()))
-            assert len(forks) == (n - 1 if at > 3 else 0)
+            assert len(forks) == (n - 1 if at >= 6 else 0)
         assert results[1] == results[0]
         rc, captured = results[0]
         error = captured.err.splitlines()[-1]
@@ -558,17 +619,23 @@ class TestReplayWorkers:
             assert "is not UTF-8 text" in error and "warning: line 9" in captured.err
         assert_no_child_left()
 
+    # An --out in a directory that does not exist fails before the fork (20
+    # rows, blocks of 3). At 12000 rows a write past 1 MB fails in block 1,
+    # after the fork, while the worker has more left to send than its 1 MB
+    # pipe holds: it ends once the parent closes the pipe, and is reaped.
     @pytest.mark.parametrize("rows", [20, 12000])
-    def test_unwritable_output_exits_2(self, tmp_path, capfd, cpus, rows):
-        # At 12000 rows the worker has more than its 1 MB pipe holds to send
-        # when the parent stops reading.
-        forks = cpus(2)
+    def test_unwritable_output_exits_2(self, tmp_path, rows):
         src = tmp_path / "log.csv"
-        src.write_text("timestamp,mu,sight_ft\n" + f"{'t' * 200},0.5,600\n" * rows)
-        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "no" / "out.csv")]) == 2
-        assert capfd.readouterr().err.startswith("error: cannot write output: ")
-        assert len(forks) == 1
-        assert_no_child_left()
+        src.write_text("timestamp,mu,sight_ft\n" + f"{'t' * 300},0.5,600\n" * rows)
+        out, prelude, forks = tmp_path / "out.csv", FILE_SIZE_LIMIT, "1\n"
+        if rows == 20:
+            out = tmp_path / "no" / "out.csv"
+            prelude, forks = prelude + "hazardrisk.cli.BLOCK_ROWS = 3\n", "0\n"
+        result = forking_run(["replay", "--input", str(src), "--out", str(out)], prelude)
+        assert (result.returncode, result.stdout) == (2, forks)
+        assert result.stderr.startswith("error: cannot write output: ")
+        assert result.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_failed_fork_runs_serial(self, tmp_path, capfd, monkeypatch, cpus):
         forks = cpus(2)
@@ -613,16 +680,18 @@ class TestReplayWorkers:
         assert len(forks) == 1 and not (tmp_path / "out.csv").exists()
         assert_no_child_left()
 
+    # With no BLAS variable set, and with one that asks for more threads.
     def test_fork_is_safe_in_a_fresh_interpreter(self, tmp_path, capsys):
         src = tmp_path / "log.csv"
         src.write_text(replay_log(3000))
         assert main(["replay", "--input", str(src), "--out", str(tmp_path / "here.csv")]) == 0
         warnings = capsys.readouterr().err
         assert warnings.count("warning: line") == 1800
-        result = forking_run(["replay", "--input", str(src), "--out", str(tmp_path / "forked.csv")])
-        assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", warnings)
-        forked = (tmp_path / "forked.csv").read_bytes()
-        assert forked == (tmp_path / "here.csv").read_bytes()
+        for blas in (None, "4"):
+            out = tmp_path / f"forked.{blas}.csv"
+            result = forking_run(["replay", "--input", str(src), "--out", str(out)], blas=blas)
+            assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", warnings)
+            assert out.read_bytes() == (tmp_path / "here.csv").read_bytes()
         assert_no_child_left()
 
     # The parent is interrupted in its second block (2) with no --out file
@@ -709,7 +778,7 @@ class TestReplay:
         gc.collect()
         gc.disable()
         try:
-            warnings = "".join(frame()[0] for frame in frames)
+            warnings = "".join(frame()[0] for _, frame in frames)
             assert gc.collect() == 0
         finally:
             gc.enable()

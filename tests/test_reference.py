@@ -68,32 +68,30 @@ def test_assessed_rows_are_the_reference_rows(catalog, joint_table, rows):
     assert text == "\n".join(lines) + "\n"
 
 
-# Blocks of 1-4 rows on 1-3 processes: scenarios span several blocks, and
-# the blocks go round-robin over the parent and its workers.
+# Blocks of 1-4 rows, on one CPU or two: scenarios span several blocks, and
+# a forked run's blocks alternate between the parent and its worker.
 BLOCK_ROWS = st.integers(1, 4)
-PROCESSES = st.integers(1, 3)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 30), grade=st.floats(-0.2, 0.2),
-       design=st.floats(25.0, 80.0), block_rows=BLOCK_ROWS, processes=PROCESSES)
+       design=st.floats(25.0, 80.0), block_rows=BLOCK_ROWS, fork=st.booleans())
 def test_simulate_writes_the_reference_rows(tmp_path, monkeypatch, cpus, seed, n, grade, design,
-                                            block_rows, processes):
+                                            block_rows, fork):
     monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
-    forks = cpus(processes)
+    forks = cpus(2 if fork else 1)
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
     rc = main(["simulate", "--seed", str(seed), "--samples", str(n), "--grade", repr(grade),
                "--design-speed", repr(design), "--out", str(out)])
+    if (reference.sample(seed, n)[1] + grade <= 0).any():
+        # Every draw is checked before the output directory is made, or a fork.
+        assert (rc, out.exists(), forks) == (64, False, [])
+        return
     # 16 scenarios make more than one block: a run forks once a scenario
     # fills a block, so that this check cannot quietly go serial.
-    assert len(forks) == (processes - 1 if n >= block_rows else 0)
-    if (reference.sample(seed, n)[1] + grade <= 0).any():
-        # Every draw is checked before the output directory is made.
-        assert (rc, out.exists()) == (64, False)
-        return
+    assert len(forks) == (fork and n >= block_rows)
     assert rc == 0
     lines, stats = reference.simulate_expected(seed, n, grade, design)
     samples = (out / "samples.csv").read_text()
@@ -120,24 +118,26 @@ BAD_CELLS = st.sampled_from(["", "", "abc", "n/a", "1e", "0x1p-2", "nan", "-inf"
                              "1e400", "0", "-0.25", "1.5", "1.0000001", "-1"])
 # One physical line, a quoted field over two lines, a comma and a quote.
 STAMPS = st.sampled_from(["t{}", "t{}\nnext line", 't{}, "quoted"'])
+# The draws for one log entry: blank about 1 in 10 times, a row's cells, up
+# to two BAD_CELLS replacing some of them, and the row's width.
+ENTRY = st.tuples(st.integers(0, 9), STAMPS, MU_CELLS, SIGHT_CELLS, GRADE_CELLS, DESIGN_CELLS,
+                  st.lists(st.tuples(st.integers(1, 4), BAD_CELLS), max_size=2),
+                  st.sampled_from([5] * 8 + [3, 4, 6]))
 
 
-@st.composite
-def _log_entries(draw):
-    """A replay log as a list of entries: None for a blank line, else the
-    row's cells, some replaced by BAD_CELLS, some rows short or long."""
-    entries = []
-    for i in range(draw(st.integers(1, 40))):
-        if draw(st.integers(0, 9)) == 0:
-            entries.append(None)
-            continue
-        cells = [draw(STAMPS).format(i), draw(MU_CELLS), draw(SIGHT_CELLS), draw(GRADE_CELLS),
-                 draw(DESIGN_CELLS)]
-        for column, cell in draw(st.lists(st.tuples(st.integers(1, 4), BAD_CELLS), max_size=2)):
-            cells[column] = cell
-        width = draw(st.sampled_from([5] * 8 + [3, 4, 6]))
-        entries.append((cells + ["extra"])[:width])
-    return entries
+def _entry(i, blank, stamp, mu, sight, grade, design, bad, width):
+    """Entry i of a replay log, from the draws of ENTRY: None for a blank
+    line, else the row's cells, some replaced, some rows short or long."""
+    if blank == 0:
+        return None
+    cells = [stamp.format(i), mu, sight, grade, design]
+    for column, cell in bad:
+        cells[column] = cell
+    return (cells + ["extra"])[:width]
+
+
+LOG_ENTRIES = st.lists(ENTRY, min_size=1, max_size=40).map(
+    lambda draws: [_entry(i, *entry) for i, entry in enumerate(draws)])
 
 
 def _read(cells, design_flag):
@@ -168,13 +168,12 @@ def _csv_field(text):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(entries=_log_entries(), design_flag=st.sampled_from([75.0, 30.0]),
-       block_rows=BLOCK_ROWS, processes=PROCESSES)
+@given(entries=LOG_ENTRIES, design_flag=st.sampled_from([75.0, 30.0]),
+       block_rows=BLOCK_ROWS, fork=st.booleans())
 def test_replay_writes_the_reference_rows(tmp_path, capsys, monkeypatch, cpus, entries,
-                                          design_flag, block_rows, processes):
+                                          design_flag, block_rows, fork):
     monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(hazardrisk.cli, "PROCESSES", 3)
-    forks = cpus(processes)
+    forks = cpus(2 if fork else 1)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(LOG_HEADER)
@@ -201,7 +200,7 @@ def test_replay_writes_the_reference_rows(tmp_path, capsys, monkeypatch, cpus, e
     captured = capsys.readouterr()
     # Every entry, blank lines included, is a record: a log of more than one
     # block forks, so that this check cannot quietly go serial.
-    assert len(forks) == (processes - 1 if len(entries) > block_rows else 0)
+    assert len(forks) == (fork and len(entries) > block_rows)
     warnings = captured.err.splitlines()
     if any(valid):
         assert rc == 0
