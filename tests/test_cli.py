@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -527,6 +528,32 @@ class TestReplayWorkers:
         rows = list(csv.reader(io.StringIO(written.decode() if to_file else captured.out)))
         assert len(rows) == 1 + 47 - 28 - 3  # and three blank lines
         assert [row[0] for row in rows[1:4]] == ["t0", "t\n11", 'a, "12"']
+        assert_no_child_left()
+
+    # CRLF, CR-only and LF line ends, a byte order mark; in every log a
+    # quoted timestamp holds "\r\n", one line break. The log spans several of
+    # the 8 kB chunks that the file decodes at once.
+    @pytest.mark.parametrize("line_end, bom", [("\r\n", ""), ("\r", ""), ("\n", "\ufeff"),
+                                               ("\r\n", "\ufeff")],
+                             ids=["crlf", "cr", "bom", "bom_crlf"])
+    def test_line_ends_and_byte_order_mark_read_as_lf(self, tmp_path, capfd, cpus, line_end, bom):
+        lf = replay_log(1500).replace('"t\n', '"t\r\n')
+        logs = {"lf": lf, "other": bom + re.sub(r"(?<!\r)\n", line_end, lf)}
+        assert len(lf) > 3 * 8192 and logs["other"] != lf
+        results = {}
+        for name, text in logs.items():
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(text.encode())
+            for n in (1, 2):
+                forks = cpus(n)
+                assert main(["replay", "--input", str(src)]) == 0
+                assert len(forks) == n - 1
+                results[name, n] = capfd.readouterr()
+        assert len(set(results.values())) == 1
+        captured = results["lf", 1]
+        # Record 11 spans lines 13 and 14; record 16 starts on line 19.
+        assert '\n"t\r\n11",' in captured.out
+        assert "warning: line 19: skipped (could not convert string to float: 'abc')\n" in captured.err
         assert_no_child_left()
 
     # Three records fill the one block, blank line included; a fourth starts another.
