@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import re
 import sys
 from contextlib import closing, contextmanager, suppress
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -70,8 +71,7 @@ def _numpy():
 def _sample_blocks(config, args: argparse.Namespace, catalog: BandCatalog, joint):
     """(rows, function) for each block of at most BLOCK_ROWS rows of the
     samples table, in order; the function formats it: its frame is (CSV text,
-    risk scores). Each scenario is drawn again from its own stream, in every
-    process that reads this."""
+    risk scores). Each scenario is drawn again from its own stream."""
     np = _numpy()
 
     from .batch import assess_columns
@@ -121,21 +121,21 @@ class WorkerError(Exception):
     """A worker ended without its block. Not an OSError: that is the output's."""
 
 
-def _blocks(frames):
-    """Every block's frame in order. frames(parent), parent False in a worker,
-    gives (rows, function) per block, the function making its frame. Once a
-    run reaches block 1 after a block 0 of BLOCK_ROWS rows, one worker forks
-    if `_forks()`: a smaller run costs less than a fork. The worker pickles
-    the frame of each odd block, or the exception that stopped it, into its
-    pipe, for the parent to raise in its turn; the parent makes the even
-    blocks. When the stream ends or is closed, the pipe is closed and the
-    worker reaped. After a failed fork, the run is serial."""
+def _blocks(blocks):
+    """Every block's frame in order. `blocks` gives (rows, function) per
+    block, the function making its frame. Once a run reaches block 1 after a
+    block 0 of BLOCK_ROWS rows, one worker forks if `_forks()`: a smaller run
+    costs less than a fork. The worker goes on with its copy of `blocks`, and
+    pickles the frame of block 1 and each odd block after it, or the exception
+    that stopped it, into its pipe, for the parent to raise in its turn; the
+    parent makes the even blocks. When the stream ends or is closed, the pipe
+    is closed and the worker reaped. After a failed fork, the run is serial."""
     import fcntl
     import pickle
 
     workers = []
 
-    def fork():
+    def fork(rows, block):
         read_fd, write_fd = os.pipe()
         # A 1 MB pipe holds several blocks: the worker runs ahead of the parent.
         with suppress(AttributeError, OSError):
@@ -154,7 +154,7 @@ def _blocks(frames):
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
                     try:
-                        for _, block in islice(frames(False), 1, None, 2):
+                        for _, block in chain([(rows, block)], islice(blocks, 1, None, 2)):
                             pickle.dump(block(), pipe)
                             pipe.flush()
                         code = 0
@@ -178,11 +178,11 @@ def _blocks(frames):
         return frame
 
     try:
-        for k, (rows, block) in enumerate(frames(True)):
+        for k, (rows, block) in enumerate(blocks):
             if k == 0:
                 full = rows == BLOCK_ROWS
             elif k == 1 and full and _forks():
-                fork()
+                fork(rows, block)
             yield received(k) if workers and k % 2 else block()
     finally:
         for pid, pipe in workers:
@@ -218,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         written.append(out_dir / name)
         return out_dir / name
 
-    blocks = _blocks(lambda parent: _sample_blocks(config, args, catalog, joint))
+    blocks = _blocks(_sample_blocks(config, args, catalog, joint))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with closing(blocks), open(output("samples.csv"), "w", newline="", encoding="utf-8") as out:
@@ -324,20 +324,21 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
         yield len(block), partial(frame, block)
 
 
-def _own_records(path: Path, log: os.stat_result):
-    """The numbered records after the header of the log at `path`, read
-    through a file of this process's own, which must be the file whose fstat
-    is `log`: a worker leaves the parent's file offset alone."""
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:  # not an output's failure, which replay maps OSError to
-        raise ValueError(f"{path} cannot be opened again: {exc}") from None
-    with fh:
-        if not os.path.samestat(os.fstat(fh.fileno()), log):
-            raise ValueError(f"{path} was replaced while it was read")
-        reader = csv.reader(fh)
-        next(reader)
-        yield from numbered_records(reader)
+class _Log(io.RawIOBase):
+    """The bytes of the file open at `fd`, read with os.pread from an offset of
+    this object's own, which a forked worker copies and reads on from."""
+
+    def __init__(self, fd: int):
+        self.fd, self.offset = fd, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, len(buffer), self.offset)
+        buffer[:len(data)] = data
+        self.offset += len(data)
+        return len(data)
 
 
 @contextmanager
@@ -387,7 +388,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _, _, joint = _build_joint(catalog)
 
     try:
-        with open(input_path, newline="", encoding="utf-8-sig") as fh:
+        with (open(input_path, "rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_Log(raw.fileno())), encoding="utf-8-sig", newline="") as fh):
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or not {"timestamp", "mu", "sight_ft"}.issubset(header):
@@ -398,12 +400,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
                 print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
-            log = os.fstat(fh.fileno())
-            # Each process reads every record, so that block k holds the same
-            # records in both, and scores only its own blocks.
-            def frames(parent):
-                own = numbered_records(reader) if parent else _own_records(input_path, log)
-                return _log_frames(header, args.design_speed, catalog, joint, own)
+            log = os.fstat(raw.fileno())
+            frames = _log_frames(header, args.design_speed, catalog, joint, numbered_records(reader))
             with closing(_blocks(frames)) as blocks:
                 for warnings, first in blocks:
                     sys.stderr.write(warnings)

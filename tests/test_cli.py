@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import hazardrisk.batch
 import hazardrisk.cli
+import hazardrisk.sampler
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
                         generate_dataset, joint_probability, load_catalog, normalize_marginals,
                         scenario_samples, scenario_statistics)
@@ -385,6 +386,24 @@ class TestSimulateWorkers:
         assert not (tmp_path / "s").exists()
         assert_no_child_left()
 
+    # The check pass and the stream each draw the scenarios once, both in
+    # this process: the worker goes on with the stream it was forked in.
+    def test_scenarios_are_drawn_twice_in_all_by_the_parent(self, tmp_path, monkeypatch, cpus):
+        calls = tmp_path / "calls"
+        scenario_samples = hazardrisk.sampler.scenario_samples
+
+        def counted(*args):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return scenario_samples(*args)
+
+        monkeypatch.setattr(hazardrisk.sampler, "scenario_samples", counted)
+        forks = cpus(2)
+        assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 0
+        assert len(forks) == 1
+        assert calls.read_text() == f"{os.getpid()}\n" * 2
+        assert_no_child_left()
+
     def test_failed_check_pass_writes_nothing(self, tmp_path, capfd, cpus):
         forks = cpus(2)
         assert main(self.FLAGS + ["--grade", "-0.1", "--out", str(tmp_path / "s")]) == 64
@@ -592,8 +611,7 @@ class TestReplayWorkers:
         assert sorted(tmp_path.iterdir()) == [out, src]
         assert_no_child_left()
 
-    # A worker that ends with status 0 has read fewer blocks than the parent:
-    # the log changed while it was read.
+    # A worker that ends, even with status 0, without its block.
     @pytest.mark.parametrize("end, how", [
         (lambda: os._exit(3), "exited with status 3"),
         (lambda: os._exit(0), "exited with status 0"),
@@ -682,29 +700,34 @@ class TestReplayWorkers:
         assert main(["replay", "--input", str(src)]) == 0
         assert capfd.readouterr() == forked
 
-    # The parent has the log open: a serial run would read it to the end.
-    @pytest.mark.parametrize("change, error", [
-        (lambda src, other: os.replace(other, src), "{src} was replaced while it was read"),
-        (lambda src, other: src.unlink(), "{src} cannot be opened again: [Errno 2] "
-                                          "No such file or directory: '{src}'"),
+    # The log is replaced by another file, or removed, as the worker forks,
+    # past the first 8 kB that the parent has read: both processes read on
+    # through the file they have open, to its end.
+    @pytest.mark.parametrize("change", [
+        lambda src, other: os.replace(other, src),
+        lambda src, other: src.unlink(),
     ], ids=["replaced", "removed"])
-    def test_log_changed_before_the_worker_opens_it_exits_64(self, tmp_path, capfd, monkeypatch,
-                                                             cpus, change, error):
-        forks = cpus(2)
+    def test_log_changed_at_the_fork_is_read_to_the_end(self, tmp_path, capfd, monkeypatch,
+                                                         cpus, change):
         src = tmp_path / "log.csv"
-        src.write_text("timestamp,mu,sight_ft\n" + "t,0.5,600\n" * 20)
+        src.write_text(replay_log(1500))
+        assert src.stat().st_size > 3 * 8192
         other = tmp_path / "other.csv"
         other.write_text("timestamp,mu,sight_ft\n" + "t,0.8,5000\n" * 20)
-        counted = os.fork
+        cpus(1)
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "serial.csv")]) == 0
+        serial = capfd.readouterr()
+        forks, counted = cpus(2), os.fork
 
         def fork():
             change(src, other)
             return counted()
 
         monkeypatch.setattr(os, "fork", fork)
-        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "out.csv")]) == 64
-        assert capfd.readouterr().err == "error: " + error.format(src=src) + "\n"
-        assert len(forks) == 1 and not (tmp_path / "out.csv").exists()
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "forked.csv")]) == 0
+        assert capfd.readouterr() == serial
+        assert len(forks) == 1
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
         assert_no_child_left()
 
     # With no BLAS variable set, and with one that asks for more threads.
