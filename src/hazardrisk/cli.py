@@ -1,7 +1,8 @@
 """Command-line interface: simulate, assess, replay, matrix.
 
 Exit codes: 0 success, 2 unwritable output, sysexits' 64 usage / invalid
-configuration, 65 no valid input data and 66 missing input, 130 interrupted.
+configuration, 65 no valid input data and 66 missing input, 130 interrupted
+and 143 terminated.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 from contextlib import closing, contextmanager, suppress
 from functools import partial
@@ -37,6 +39,7 @@ EXIT_USAGE = 64
 EXIT_NODATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143
 
 CONFIG_ENV_VAR = "HAZARD_RISK_CONFIG"
 
@@ -119,6 +122,14 @@ def _forks() -> bool:
 
 class WorkerError(Exception):
     """A worker ended without its block. Not an OSError: that is the output's."""
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised where the command runs, as Ctrl-C raises KeyboardInterrupt."""
+
+
+def _terminated(signum, frame):
+    raise Terminated
 
 
 def _blocks(blocks):
@@ -382,8 +393,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     # an otherwise valid reading, instead of skipping each such row.
     EnvironmentReading(mu=1.0, sight_distance=0.0, design_speed=args.design_speed)
     input_path = Path(args.input)
-    if not input_path.is_file():
-        print(f"error: input file not found: {input_path}", file=sys.stderr)
+    if not input_path.is_file():  # a FIFO or a directory has no offsets to read at
+        what = "is not a regular file" if input_path.exists() else "file not found"
+        print(f"error: input {what}: {input_path}", file=sys.stderr)
         return EXIT_NOINPUT
     _, _, joint = _build_joint(catalog)
 
@@ -509,6 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     # The one place an invalid flag, reading or --config, a worker's end or a run too large
     # for memory becomes exit 64; commands handle only errors that map elsewhere.
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError, WorkerError) as exc:
@@ -517,6 +530,11 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:  # Ctrl-C, after the command has removed its partial output
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:  # likewise
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -276,8 +277,8 @@ FILE_SIZE_LIMIT = ("import resource, signal\n"
 
 
 # Blocks of 50 rows; the parent, or the worker, sends itself SIGINT as a
-# Ctrl-C would after the first block it formats. The command loads numpy
-# itself, with one BLAS thread, before the fork.
+# Ctrl-C would, or SIGTERM as kill would, after the first block it formats.
+# The command loads numpy itself, with one BLAS thread, before the fork.
 # A process that starts with SIGINT ignored (a background job of a
 # non-interactive shell, say) keeps ignoring it: the prelude installs the
 # handler Python gives a process started in the foreground.
@@ -288,7 +289,7 @@ INTERRUPTED = ("import signal\n"
                "def interrupting(*args):\n"
                "    calls.append(1)\n"
                "    if len(calls) == 2 and (os.getpid() == parent) == {in_parent}:\n"
-               "        os.kill(os.getpid(), signal.SIGINT)\n"
+               "        os.kill(os.getpid(), signal.{signal})\n"
                "    return assessed_text(*args)\n"
                "hazardrisk.cli.assessed_text = interrupting\n")
 
@@ -297,6 +298,14 @@ ONE_SCENARIO_RATES = ("dimension,label,lower,upper,crash_rate\n"
                       "friction,Dry,0.7,0.9,1.9\n"
                       "visibility,Clear,1640.0,6562.0,0.685\n"
                       "sampling_visibility,Clear,4000.0,6500.0,0.685\n")
+
+# Each signal that stops a run: its exit code and its one line on stderr.
+STOPPED = {"SIGINT": (130, "error: interrupted\n"), "SIGTERM": (143, "error: terminated\n")}
+# The signal and whether the parent or the worker receives it; the SIGINT
+# cases keep their earlier names.
+STOPS = pytest.mark.parametrize("stop, in_parent", [
+    ("SIGINT", True), ("SIGINT", False), ("SIGTERM", True), ("SIGTERM", False)],
+    ids=["parent", "worker", "sigterm-parent", "sigterm-worker"])
 
 
 class TestSimulateWorkers:
@@ -467,25 +476,26 @@ class TestSimulateWorkers:
             assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
             assert len(read_csv(out / "samples.csv")) == 16 * 2048
 
-    @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "worker"])
-    def test_interrupt_exits_130_and_leaves_no_output(self, tmp_path, in_parent):
+    @STOPS
+    def test_interrupt_exits_130_and_leaves_no_output(self, tmp_path, stop, in_parent):
         out = tmp_path / "made" / "s"
         result = forking_run(["simulate", "--samples", "100", "--out", str(out)],
-                             INTERRUPTED.format(in_parent=in_parent))
-        assert (result.returncode, result.stdout, result.stderr) == (130, "1\n",
-                                                                     "error: interrupted\n")
+                             INTERRUPTED.format(in_parent=in_parent, signal=stop))
+        code, error = STOPPED[stop]
+        assert (result.returncode, result.stdout, result.stderr) == (code, "1\n", error)
         assert list(tmp_path.iterdir()) == []
 
-    # A Ctrl-C while heatmap.csv is written, or a write of joint.csv that
-    # fails, each after a first part of that file is written. The run removes
+    # A Ctrl-C or a SIGTERM while heatmap.csv is written, or a write of
+    # joint.csv that fails, each after a first part of that file is written. The run removes
     # the files it wrote and the directories it made; an earlier file it did
     # not reach keeps its bytes.
     @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
     @pytest.mark.parametrize("writer, failure, code, error", [
-        ("write_heatmap", "os.kill(os.getpid(), signal.SIGINT)", 130, "error: interrupted\n"),
+        ("write_heatmap", "os.kill(os.getpid(), signal.SIGINT)", *STOPPED["SIGINT"]),
+        ("write_heatmap", "os.kill(os.getpid(), signal.SIGTERM)", *STOPPED["SIGTERM"]),
         ("write_joint", "raise OSError(28, 'No space left on device')", 2,
          "error: cannot write output: [Errno 28] No space left on device\n"),
-    ], ids=["interrupted", "no_space"])
+    ], ids=["interrupted", "terminated", "no_space"])
     def test_failure_after_the_samples_leaves_no_output(self, tmp_path, existing, writer,
                                                          failure, code, error):
         out = tmp_path / "made" / "s"
@@ -746,8 +756,9 @@ class TestReplayWorkers:
 
     # The parent is interrupted in its second block (2) with no --out file
     # yet, the worker in its own (3) with an earlier --out file.
-    @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "worker"])
-    def test_interrupt_exits_130_after_the_warnings_written(self, tmp_path, capsys, in_parent):
+    @STOPS
+    def test_interrupt_exits_130_after_the_warnings_written(self, tmp_path, capsys, stop,
+                                                            in_parent):
         src = tmp_path / "log.csv"
         src.write_text(replay_log(300))
         assert main(["replay", "--input", str(src), "--out", str(tmp_path / "whole.csv")]) == 0
@@ -757,10 +768,11 @@ class TestReplayWorkers:
         if not in_parent:
             out.write_bytes(b"earlier result\n")
         result = forking_run(["replay", "--input", str(src), "--out", str(out)],
-                             INTERRUPTED.format(in_parent=in_parent))
-        assert (result.returncode, result.stdout) == (130, "1\n")
-        assert result.stderr.endswith("\nerror: interrupted\n")
-        written = result.stderr.removesuffix("error: interrupted\n")
+                             INTERRUPTED.format(in_parent=in_parent, signal=stop))
+        code, error = STOPPED[stop]
+        assert (result.returncode, result.stdout) == (code, "1\n")
+        assert result.stderr.endswith("\n" + error)
+        written = result.stderr.removesuffix(error)
         assert written.startswith("warning: line ") and warnings.startswith(written)
         assert len(written) < len(warnings)
         if in_parent:
@@ -1157,6 +1169,19 @@ class TestReplay:
 
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66
+        assert capsys.readouterr().err == f"error: input file not found: {tmp_path / 'nope.csv'}\n"
+
+    # The log is read at offsets of its own: a FIFO, which no writer opens
+    # here, is refused before it is opened.
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_input_that_is_not_a_regular_file_exits_66(self, tmp_path, capsys, kind):
+        src = tmp_path / "log"
+        if kind == "fifo":
+            os.mkfifo(src)
+        else:
+            src.mkdir()
+        assert main(["replay", "--input", str(src)]) == 66
+        assert capsys.readouterr().err == f"error: input is not a regular file: {src}\n"
 
     def test_zero_valid_rows_exits_65(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -1230,6 +1255,18 @@ class TestArguments:
     def test_help_and_version_exit_0(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out
+
+    def test_sigterm_handler_is_set_only_while_a_command_runs(self, monkeypatch):
+        before, handlers = signal.getsignal(signal.SIGTERM), []
+
+        def command(args):
+            handlers.append(signal.getsignal(signal.SIGTERM))
+            return 0
+
+        monkeypatch.setattr(hazardrisk.cli, "cmd_matrix", command)
+        assert main(["matrix"]) == 0
+        assert handlers[0] not in (before, signal.SIG_DFL, signal.SIG_IGN)
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestConfigOverride:
