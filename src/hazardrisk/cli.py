@@ -519,9 +519,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # 0 after --help or --version, else EXIT_USAGE
         return exc.code
+    previous = None
+    with suppress(ValueError):  # only the main thread may set one: elsewhere SIGTERM is as it was
+        previous = signal.signal(signal.SIGTERM, _terminated)
     # The one place an invalid flag, reading or --config, a worker's end or a run too large
     # for memory becomes exit 64; commands handle only errors that map elsewhere.
-    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError, WorkerError) as exc:
@@ -534,7 +536,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: terminated", file=sys.stderr)
         return EXIT_TERMINATED
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -1268,6 +1268,15 @@ class TestArguments:
         assert handlers[0] not in (before, signal.SIG_DFL, signal.SIG_IGN)
         assert signal.getsignal(signal.SIGTERM) is before
 
+    # Only the main thread may set a signal handler.
+    def test_command_runs_outside_the_main_thread(self, capsys):
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(["matrix", "--format", "csv"])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [0]
+        assert capsys.readouterr().out.startswith("severity_score,")
+
 
 class TestConfigOverride:
     def test_config_file_flag(self, tmp_path, capsys, default_rates_csv):
