@@ -336,8 +336,9 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
 
 
 class _Log(io.RawIOBase):
-    """The bytes of the file open at `fd`, read with os.pread from an offset of
-    this object's own, which a forked worker copies and reads on from."""
+    """The bytes of the file open at `fd`, read with os.pread at an offset of
+    this object's own: a forked worker copies it and reads on, while the file
+    offset, which the fork shares, is never moved."""
 
     def __init__(self, fd: int):
         self.fd, self.offset = fd, 0

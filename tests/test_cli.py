@@ -486,9 +486,9 @@ class TestSimulateWorkers:
         assert list(tmp_path.iterdir()) == []
 
     # A Ctrl-C or a SIGTERM while heatmap.csv is written, or a write of
-    # joint.csv that fails, each after a first part of that file is written. The run removes
-    # the files it wrote and the directories it made; an earlier file it did
-    # not reach keeps its bytes.
+    # joint.csv that fails, each after a first part of that file is written.
+    # The run removes the files it wrote and the directories it made; an
+    # earlier file it did not reach keeps its bytes.
     @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
     @pytest.mark.parametrize("writer, failure, code, error", [
         ("write_heatmap", "os.kill(os.getpid(), signal.SIGINT)", *STOPPED["SIGINT"]),
