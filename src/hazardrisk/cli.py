@@ -16,7 +16,8 @@ import os
 import re
 import signal
 import sys
-from contextlib import closing, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, nullcontext, suppress
+from dataclasses import asdict
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
@@ -28,9 +29,8 @@ from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catal
                     numbered_records, repeated_column, scenario_grid)
 from .probability import joint_probability, normalize_marginals
 from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, SAMPLES_COLUMNS,
-                        assessed_text, assessment_record, heatmap_rows, write_heatmap,
-                        write_joint, write_manifest, write_marginals, write_rows,
-                        write_scenario_stats)
+                        assessed_text, assessment_record, heatmap_rows, joint_table,
+                        manifest_text, marginals_table, scenario_stats_table, write_rows)
 from .risk import assess, risk_matrix
 
 EXIT_OK = 0
@@ -223,52 +223,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    written = []
-
-    def output(name):
-        written.append(out_dir / name)
-        return out_dir / name
-
     blocks = _blocks(_sample_blocks(config, args, catalog, joint))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with closing(blocks), open(output("samples.csv"), "w", newline="", encoding="utf-8") as out:
-            out.write(",".join(SAMPLES_COLUMNS) + "\n")
+        with closing(blocks), ExitStack() as stack:
+            # The stack renames each file into place only once all six are
+            # written and flushed, in the reverse order of this one: the
+            # manifest last.
+            files = {name: stack.enter_context(_output(out_dir / name)) for name in (
+                "manifest.json", "samples.csv", "scenario_stats.csv", "heatmap.csv",
+                "marginals.csv", "joint.csv")}
+            files["samples.csv"].write(",".join(SAMPLES_COLUMNS) + "\n")
             # Every block in order, the worker's as it sends them; a
             # scenario's stats row is made once its last block is in.
             for k, (text, block_scores) in enumerate(blocks):
-                out.write(text)
+                files["samples.csv"].write(text)
                 scores.append(block_scores)
                 if (k + 1) % per_scenario == 0:
                     stats.append(scenario_stats(scenarios[k // per_scenario],
                                                 np.concatenate(scores)))
                     scores = []
-        outputs = {
-            "samples.csv": len(stats) * config.samples_per_scenario,
-            "scenario_stats.csv": write_scenario_stats(output("scenario_stats.csv"),
-                                                       by_mean_risk(stats)),
-            "heatmap.csv": write_heatmap(output("heatmap.csv")),
-            "marginals.csv": write_marginals(output("marginals.csv"), catalog, p_f, p_v),
-            "joint.csv": write_joint(output("joint.csv"), joint),
-        }
-        write_manifest(
-            output("manifest.json"), "simulate", __version__,
-            config={
-                "seed": config.seed,
-                "samples_per_scenario": config.samples_per_scenario,
-                "sigma_rule": config.sigma_rule,
-                "design_speed_mph": args.design_speed,
-                "grade": args.grade,
-                "table_source": table_source,
-            },
-            outputs={**outputs, "manifest.json": 1},
-        )
+            tables = {
+                "scenario_stats.csv": scenario_stats_table(by_mean_risk(stats)),
+                "heatmap.csv": (HEATMAP_COLUMNS, heatmap_rows()),
+                "marginals.csv": marginals_table(catalog, p_f, p_v),
+                "joint.csv": joint_table(joint),
+            }
+            outputs = {"samples.csv": len(stats) * config.samples_per_scenario, "manifest.json": 1,
+                       **{name: write_rows(files[name], *table) for name, table in tables.items()}}
+            files["manifest.json"].write(manifest_text("simulate", __version__, config={
+                **asdict(config), "design_speed_mph": args.design_speed, "grade": args.grade,
+                "table_source": table_source}, outputs=outputs))
+            for stream in files.values():
+                stream.flush()
     except BaseException as exc:
-        # A failure here (a worker's, say, or a Ctrl-C) leaves none of the
-        # files this run wrote, nor a directory made for them.
+        # A failure here (a worker's, say, or a Ctrl-C) leaves every file in
+        # --out as it was, and no directory made for them.
         with suppress(OSError):
-            for path in written:
-                path.unlink(missing_ok=True)
             for d in made:
                 d.rmdir()
         if not isinstance(exc, OSError):
@@ -354,22 +345,19 @@ class _Log(io.RawIOBase):
 
 
 @contextmanager
-def _replay_output(path: str | None, log: os.stat_result):
-    """Replay's output stream: stdout; else a temporary file beside `path`,
-    renamed onto it with the old file's mode only once the block completes and
-    removed on any exception, so a file at `path` keeps its bytes. A path that
-    a rename would change in more than its bytes (a device, FIFO or symlink, a
-    file with other links or another owner, or one in a read-only directory)
-    is written through instead, unless it is the input log (`log`, its
-    fstat), which that would truncate as it is read."""
-    if not path:
-        yield sys.stdout
-        return
+def _output(path, log: os.stat_result | None = None):
+    """Every output file's stream: a temporary file beside `path`, renamed
+    onto it with the old file's mode only once the block completes and
+    removed on any exception, so a file at `path` keeps its bytes. A path
+    that a rename would change in more than its bytes (a device, FIFO or
+    symlink, a file with other links or another owner, or one in a read-only
+    directory) is written through instead, unless it is the input log (`log`,
+    its fstat), which that would truncate as it is read."""
     old = os.lstat(path) if os.path.lexists(path) else None
     whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
         old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
     )
-    if not whole and os.path.exists(path) and os.path.samestat(os.stat(path), log):
+    if not whole and log and os.path.exists(path) and os.path.samestat(os.stat(path), log):
         raise ValueError(f"--out {path} is the input log: it cannot be written while it is read")
     target = f"{path}.{os.getpid()}.tmp" if whole else path
     # A temporary name that is already taken, even by a symlink, is an error:
@@ -424,7 +412,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     print("error: no valid rows in input", file=sys.stderr)
                     return EXIT_NODATA
                 try:
-                    with _replay_output(args.out, log) as out:
+                    with _output(args.out, log) if args.out else nullcontext(sys.stdout) as out:
                         out.write(",".join(REPLAY_COLUMNS) + "\n")
                         out.write(first)
                         for warnings, text in blocks:

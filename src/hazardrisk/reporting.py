@@ -1,7 +1,7 @@
-"""CSV/JSON report emission for the case-study pipeline.
+"""CSV/JSON report text for the case-study pipeline; `cli` opens the files.
 
-All files are UTF-8 with LF line endings and `.` decimal separators; floats
-are written with 6 significant digits so repeated runs are byte-identical.
+All text has LF line endings and `.` decimal separators; floats are written
+with 6 significant digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import io
 import json
 from dataclasses import fields
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .bands import BandCatalog
@@ -112,11 +111,6 @@ def write_rows(stream: TextIO, header: list[str], rows: Iterable) -> int:
     return len(columns[0])
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable) -> int:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        return write_rows(fh, header, rows)
-
-
 def assessed_text(keys, columns: dict) -> str:
     """One block of the samples or replay table as CSV text: the key column,
     then the ASSESSMENT_COLUMNS of an assess_columns result."""
@@ -129,9 +123,9 @@ def assessment_record(assessment: Assessment) -> dict:
     return dict(zip(ASSESSMENT_FIELDS, _assessment_values(assessment)))
 
 
-def write_scenario_stats(path: Path, stats: list[ScenarioStats]) -> int:
-    values = attrgetter(*SCENARIO_STATS_FIELDS.values())
-    return _write_csv(path, list(SCENARIO_STATS_FIELDS), map(values, stats))
+def scenario_stats_table(stats: list[ScenarioStats]) -> tuple[list[str], Iterable]:
+    """The header and rows of a table, for write_rows; likewise below."""
+    return list(SCENARIO_STATS_FIELDS), map(attrgetter(*SCENARIO_STATS_FIELDS.values()), stats)
 
 
 def heatmap_rows() -> list[list[int]]:
@@ -139,33 +133,25 @@ def heatmap_rows() -> list[list[int]]:
     return [[s] + [score for score, _ in row] for s, row in enumerate(risk_matrix(), 1)]
 
 
-def write_heatmap(path: Path) -> int:
-    return _write_csv(path, HEATMAP_COLUMNS, heatmap_rows())
-
-
-def write_marginals(path: Path, catalog: BandCatalog, p_f: MarginalDistribution,
-                    p_v: MarginalDistribution) -> int:
+def marginals_table(catalog: BandCatalog, p_f: MarginalDistribution,
+                    p_v: MarginalDistribution) -> tuple[list[str], Iterable]:
     rows = (
         [band.dimension.value, band.label, band.lower, band.upper, band.crash_rate, p]
         for bands, dist in [(catalog.friction_bands, p_f), (catalog.visibility_bands, p_v)]
         for band, (_, p) in zip(bands, dist.probs)
     )
-    header = ["dimension", "label", "lower", "upper", "crash_rate", "probability"]
-    return _write_csv(path, header, rows)
+    return ["dimension", "label", "lower", "upper", "crash_rate", "probability"], rows
 
 
-def write_joint(path: Path, table: JointProbabilityTable) -> int:
-    return _write_csv(path, JOINT_COLUMNS, map(attrgetter(*JOINT_COLUMNS), table.entries))
+def joint_table(table: JointProbabilityTable) -> tuple[list[str], Iterable]:
+    return JOINT_COLUMNS, map(attrgetter(*JOINT_COLUMNS), table.entries)
 
 
-def write_manifest(path: Path, command: str, version: str, config: dict,
-                   outputs: dict[str, int]) -> None:
+def manifest_text(command: str, version: str, config: dict, outputs: dict[str, int]) -> str:
     manifest = {
         "command": command,
         "version": version,
         "config": config,
         "outputs": [{"path": name, "rows": rows} for name, rows in sorted(outputs.items())],
     }
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"

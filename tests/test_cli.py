@@ -30,7 +30,8 @@ from hazardrisk.batch import valid_readings
 from hazardrisk.cli import _number, main
 
 ONE_THREAD = hazardrisk.cli._one_thread
-from hazardrisk.reporting import SAMPLES_COLUMNS, write_rows, write_scenario_stats
+from hazardrisk.reporting import (HEATMAP_COLUMNS, JOINT_COLUMNS, SAMPLES_COLUMNS,
+                                  scenario_stats_table, write_rows)
 
 SRC = Path(hazardrisk.__file__).resolve().parents[1]
 
@@ -38,6 +39,22 @@ SRC = Path(hazardrisk.__file__).resolve().parents[1]
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def tree(root):
+    """Each path under root: a symlink's target, a directory's None or a file's bytes."""
+    return {p.relative_to(root).as_posix(): os.readlink(p) if p.is_symlink()
+            else None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+SIMULATE_FILES = ["samples.csv", "scenario_stats.csv", "heatmap.csv", "marginals.csv",
+                  "joint.csv", "manifest.json"]
+
+
+def earlier_run(out):
+    """A complete earlier simulate run in `out`, beside a file of the user's."""
+    assert main(["simulate", "--seed", "3", "--samples", "3", "--out", str(out)]) == 0
+    (out / "keep.txt").write_text("kept")
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +207,39 @@ class TestSimulate:
         target.write_text("file, not a directory")
         assert main(["simulate", "--samples", "1", "--out", str(target)]) == 2
 
+    # Each file goes to a temporary name; none is renamed into place before
+    # all six are written and flushed, and the manifest is renamed last.
+    def test_files_are_renamed_once_all_are_written_manifest_last(self, tmp_path, monkeypatch):
+        out, renamed, replace = tmp_path / "s", [], os.replace
+
+        def recording(src, dst):
+            renamed.append((Path(dst).name, sorted(p.name for p in out.iterdir())))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        assert main(["simulate", "--samples", "2", "--out", str(out)]) == 0
+        assert renamed[-1][0] == "manifest.json"
+        assert sorted(name for name, _ in renamed) == sorted(SIMULATE_FILES)
+        assert renamed[0][1] == sorted(f"{name}.{os.getpid()}.tmp" for name in SIMULATE_FILES)
+        assert sorted(tree(out)) == sorted(SIMULATE_FILES)
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "s"
+        earlier_run(out)
+        (out / "samples.csv").chmod(0o600)
+        assert main(["simulate", "--samples", "2", "--out", str(out)]) == 0
+        assert stat.S_IMODE((out / "samples.csv").stat().st_mode) == 0o600
+        assert len(read_csv(out / "samples.csv")) == 32
+
+    def test_symlink_is_written_through(self, tmp_path):
+        out, target = tmp_path / "s", tmp_path / "target.csv"
+        out.mkdir()
+        target.write_text("earlier result\n")
+        (out / "samples.csv").symlink_to(target)
+        assert main(["simulate", "--samples", "2", "--out", str(out)]) == 0
+        assert (out / "samples.csv").is_symlink()
+        assert len(read_csv(target)) == 32
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -303,9 +353,9 @@ ONE_SCENARIO_RATES = ("dimension,label,lower,upper,crash_rate\n"
 STOPPED = {"SIGINT": (130, "error: interrupted\n"), "SIGTERM": (143, "error: terminated\n")}
 # The signal and whether the parent or the worker receives it; the SIGINT
 # cases keep their earlier names.
-STOPS = pytest.mark.parametrize("stop, in_parent", [
-    ("SIGINT", True), ("SIGINT", False), ("SIGTERM", True), ("SIGTERM", False)],
-    ids=["parent", "worker", "sigterm-parent", "sigterm-worker"])
+STOP_CASES = [("SIGINT", True), ("SIGINT", False), ("SIGTERM", True), ("SIGTERM", False)]
+STOP_IDS = ["parent", "worker", "sigterm-parent", "sigterm-worker"]
+STOPS = pytest.mark.parametrize("stop, in_parent", STOP_CASES, ids=STOP_IDS)
 
 
 class TestSimulateWorkers:
@@ -368,14 +418,15 @@ class TestSimulateWorkers:
 
         out = tmp_path / "made" / "s"
         if existing:
-            out.mkdir(parents=True)
-            (out / "keep.txt").write_text("kept")
+            earlier_run(out)
+        before = tree(tmp_path)
         monkeypatch.setattr(hazardrisk.batch, "assess_columns", in_a_worker(os.getpid(), no_memory))
         cpus(2)
         assert main(self.FLAGS + ["--out", str(out)]) == 64
         assert capfd.readouterr().err == "error: out of memory\n"
+        assert tree(tmp_path) == before
         if existing:
-            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+            assert sorted(tree(out)) == sorted(SIMULATE_FILES + ["keep.txt"])
         else:
             assert list(tmp_path.iterdir()) == []
         assert_no_child_left()
@@ -476,48 +527,57 @@ class TestSimulateWorkers:
             assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
             assert len(read_csv(out / "samples.csv")) == 16 * 2048
 
-    @STOPS
-    def test_interrupt_exits_130_and_leaves_no_output(self, tmp_path, stop, in_parent):
+    # --out is made by the run, or holds a complete earlier run, which keeps
+    # its bytes.
+    @pytest.mark.parametrize("existing, stop, in_parent",
+                             [(False, *case) for case in STOP_CASES]
+                             + [(True, *case) for case in STOP_CASES],
+                             ids=STOP_IDS + [f"existing-{name}" for name in STOP_IDS])
+    def test_interrupt_exits_130_and_leaves_no_output(self, tmp_path, existing, stop, in_parent):
         out = tmp_path / "made" / "s"
+        if existing:
+            earlier_run(out)
+        before = tree(tmp_path)
         result = forking_run(["simulate", "--samples", "100", "--out", str(out)],
                              INTERRUPTED.format(in_parent=in_parent, signal=stop))
         code, error = STOPPED[stop]
         assert (result.returncode, result.stdout, result.stderr) == (code, "1\n", error)
-        assert list(tmp_path.iterdir()) == []
+        assert tree(tmp_path) == before
+        if not existing:
+            assert list(tmp_path.iterdir()) == []
 
     # A Ctrl-C or a SIGTERM while heatmap.csv is written, or a write of
-    # joint.csv that fails, each after a first part of that file is written.
-    # The run removes the files it wrote and the directories it made; an
-    # earlier file it did not reach keeps its bytes.
+    # joint.csv that fails, each after a first part of that table is written.
+    # No file is renamed into --out: a complete earlier run there keeps its
+    # bytes, no temporary file is left, and a directory the run made is removed.
     @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
-    @pytest.mark.parametrize("writer, failure, code, error", [
-        ("write_heatmap", "os.kill(os.getpid(), signal.SIGINT)", *STOPPED["SIGINT"]),
-        ("write_heatmap", "os.kill(os.getpid(), signal.SIGTERM)", *STOPPED["SIGTERM"]),
-        ("write_joint", "raise OSError(28, 'No space left on device')", 2,
+    @pytest.mark.parametrize("first, failure, code, error", [
+        (HEATMAP_COLUMNS[0], "os.kill(os.getpid(), signal.SIGINT)", *STOPPED["SIGINT"]),
+        (HEATMAP_COLUMNS[0], "os.kill(os.getpid(), signal.SIGTERM)", *STOPPED["SIGTERM"]),
+        (JOINT_COLUMNS[0], "raise OSError(28, 'No space left on device')", 2,
          "error: cannot write output: [Errno 28] No space left on device\n"),
     ], ids=["interrupted", "terminated", "no_space"])
-    def test_failure_after_the_samples_leaves_no_output(self, tmp_path, existing, writer,
+    def test_failure_after_the_samples_leaves_no_output(self, tmp_path, existing, first,
                                                          failure, code, error):
         out = tmp_path / "made" / "s"
-        earlier = {}
         if existing:
-            out.mkdir(parents=True)
-            earlier = {"keep.txt": b"kept", "marginals.csv": b"earlier"}
-            for name, data in earlier.items():
-                (out / name).write_bytes(data)
+            earlier_run(out)
+        before = tree(tmp_path)
+        # The table is told by the first column of its header.
         prelude = ("import signal\n"
                    "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-                   "def failing(path, *args):\n"
-                   "    with open(path, 'w') as fh:\n"
-                   "        fh.write('part')\n"
+                   "write_rows = hazardrisk.cli.write_rows\n"
+                   "def failing(stream, header, rows):\n"
+                   f"    if header[0] != {first!r}:\n"
+                   "        return write_rows(stream, header, rows)\n"
+                   "    stream.write('part')\n"
                    f"    {failure}\n"
-                   f"hazardrisk.cli.{writer} = failing\n")
+                   "hazardrisk.cli.write_rows = failing\n")
         result = forking_run(["simulate", "--samples", "5", "--out", str(out)], prelude)
         assert (result.returncode, result.stdout, result.stderr) == (code, "0\n", error)
-        if writer == "write_joint":  # marginals.csv is written before joint.csv
-            earlier.pop("marginals.csv", None)
+        assert tree(tmp_path) == before
         if existing:
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+            assert sorted(tree(out)) == sorted(SIMULATE_FILES + ["keep.txt"])
         else:
             assert list(tmp_path.iterdir()) == []
 
@@ -1098,28 +1158,40 @@ class TestReplay:
         assert read_csv(src)[0]["friction_label"] == "Wet"
         assert list(tmp_path.iterdir()) == [src]
 
-    @pytest.mark.parametrize("planted", ["symlink", "file"])
-    def test_taken_temporary_name_exits_2(self, tmp_path, capsys, planted):
-        src = tmp_path / "readings.csv"
-        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
-        out = tmp_path / "assessed.csv"
-        out.write_bytes(b"earlier result\n")
+    # A taken temporary name of replay's --out, or of the manifest, the first
+    # file simulate opens, over a complete earlier run.
+    @pytest.mark.parametrize("command, planted", [
+        ("replay", "symlink"), ("replay", "file"), ("simulate", "symlink"), ("simulate", "file")],
+        ids=["symlink", "file", "simulate-symlink", "simulate-file"])
+    def test_taken_temporary_name_exits_2(self, tmp_path, capsys, command, planted):
         victim = tmp_path / "victim.txt"
-        victim.write_bytes(b"not replay's\n")
-        taken = tmp_path / f"assessed.csv.{os.getpid()}.tmp"
+        victim.write_bytes(b"not this run's\n")
+        if command == "replay":
+            src = tmp_path / "readings.csv"
+            src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+            out = tmp_path / "assessed.csv"
+            out.write_bytes(b"earlier result\n")
+            argv = ["replay", "--input", str(src), "--out", str(out)]
+            taken = tmp_path / f"assessed.csv.{os.getpid()}.tmp"
+        else:
+            out = tmp_path / "s"
+            earlier_run(out)
+            argv = ["simulate", "--samples", "2", "--out", str(out)]
+            taken = out / f"manifest.json.{os.getpid()}.tmp"
         if planted == "symlink":
             taken.symlink_to(victim)
         else:
             taken.write_bytes(b"someone else's\n")
-        assert main(["replay", "--input", str(src), "--out", str(out)]) == 2
+        before = tree(tmp_path)
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
-        assert victim.read_bytes() == b"not replay's\n"
-        assert not out.is_symlink() and out.read_bytes() == b"earlier result\n"
+        assert victim.read_bytes() == b"not this run's\n"
         if planted == "symlink":
             assert taken.is_symlink() and taken.resolve() == victim.resolve()
         else:
             assert not taken.is_symlink() and taken.read_bytes() == b"someone else's\n"
-        assert sorted(tmp_path.iterdir()) == sorted([out, src, taken, victim])
+        assert not out.is_symlink()
+        assert tree(tmp_path) == before
 
     def test_out_file_keeps_its_mode(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -1426,9 +1498,9 @@ def test_simulate_streams_what_the_whole_dataset_gives(tmp_path, catalog, joint_
     rows = read_csv(tmp_path / "samples.csv")
     assert [(int(r["scenario_id"]), r["mu"], r["sight_ft"]) for r in rows] == [
         (int(i), "%.6g" % mu, "%.6g" % sight) for i, mu, sight in records.tolist()]
-    expected = tmp_path / "expected_stats.csv"
-    write_scenario_stats(expected, scenario_statistics(samples, columns["risk_score"]))
-    assert (tmp_path / "scenario_stats.csv").read_bytes() == expected.read_bytes()
+    expected = io.StringIO()
+    write_rows(expected, *scenario_stats_table(scenario_statistics(samples, columns["risk_score"])))
+    assert (tmp_path / "scenario_stats.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_write_rows_types_each_column_as_np_array_does():
