@@ -54,7 +54,12 @@ class HazardBand:
         return (self.lower + self.upper) / 2.0
 
 
-@dataclass(frozen=True)
+# The three records of a scored reading (this one, SpeedProfile and
+# Assessment) store their fields with one __dict__ update: the generated
+# __init__ of a frozen dataclass calls object.__setattr__ once per field,
+# which costs a scalar assess() call more than its scoring. Assignment still
+# raises FrozenInstanceError, and dataclasses.replace() still comes through here.
+@dataclass(frozen=True, init=False)
 class EnvironmentReading:
     """One environment observation: friction coefficient, sight distance in
     feet, decimal road grade, and the roadway design speed in mph."""
@@ -64,18 +69,22 @@ class EnvironmentReading:
     grade: float = 0.0
     design_speed: float = 75.0
 
-    def __post_init__(self):
-        if not 0 < self.mu <= 1:
-            raise ValueError(f"mu must be in (0, 1], got {self.mu}")
-        for name in ("sight_distance", "grade", "design_speed"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sight_distance < 0:
-            raise ValueError(f"sight_distance must be >= 0, got {self.sight_distance}")
-        if self.mu + self.grade <= 0:
-            raise ValueError(f"mu + grade must be > 0, got {self.mu + self.grade}")
-        if self.design_speed <= 0:
-            raise ValueError(f"design_speed must be > 0, got {self.design_speed}")
+    def __init__(self, mu: float, sight_distance: float, grade: float = 0.0,
+                 design_speed: float = 75.0):
+        if not 0 < mu <= 1:
+            raise ValueError(f"mu must be in (0, 1], got {mu}")
+        for name, value in (("sight_distance", sight_distance), ("grade", grade),
+                            ("design_speed", design_speed)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if sight_distance < 0:
+            raise ValueError(f"sight_distance must be >= 0, got {sight_distance}")
+        if mu + grade <= 0:
+            raise ValueError(f"mu + grade must be > 0, got {mu + grade}")
+        if design_speed <= 0:
+            raise ValueError(f"design_speed must be > 0, got {design_speed}")
+        vars(self).update(mu=mu, sight_distance=sight_distance, grade=grade,
+                          design_speed=design_speed)
 
 
 @dataclass(frozen=True)

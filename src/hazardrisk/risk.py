@@ -23,7 +23,7 @@ class RiskLevel(str, Enum):
 _LEVELS = tuple(RiskLevel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Assessment:
     """Full scored record for one environment reading."""
 
@@ -36,6 +36,17 @@ class Assessment:
     severity_score: int
     risk_score: int
     risk_level: RiskLevel
+
+    # One __dict__ update, not a frozen dataclass's setattr per field (see
+    # bands.EnvironmentReading).
+    def __init__(self, reading: EnvironmentReading, friction_label: str, visibility_label: str,
+                 joint_probability: float, probability_score: int, speed_profile: SpeedProfile,
+                 severity_score: int, risk_score: int, risk_level: RiskLevel):
+        vars(self).update(reading=reading, friction_label=friction_label,
+                          visibility_label=visibility_label, joint_probability=joint_probability,
+                          probability_score=probability_score, speed_profile=speed_profile,
+                          severity_score=severity_score, risk_score=risk_score,
+                          risk_level=risk_level)
 
 
 def _check_score(score: int, name: str) -> None:
@@ -78,14 +89,5 @@ def assess(
     profile = speed_profile(reading.mu, reading.grade, reading.sight_distance, reading.design_speed)
     s_score = score_severity(profile.reduction_pct)
     score = composite_risk(entry.probability_score, s_score)
-    return Assessment(
-        reading=reading,
-        friction_label=fband.label,
-        visibility_label=vband.label,
-        joint_probability=entry.normalized_joint,
-        probability_score=entry.probability_score,
-        speed_profile=profile,
-        severity_score=s_score,
-        risk_score=score,
-        risk_level=risk_level(score),
-    )
+    return Assessment(reading, fband.label, vband.label, entry.normalized_joint,
+                      entry.probability_score, profile, s_score, score, risk_level(score))

@@ -15,7 +15,7 @@ _SEVERITY_EDGES = (6.67, 20.0, 100.0 / 3.0, 200.0 / 3.0)
 SPEED_SCALE = 15.0 / 22.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpeedProfile:
     """The advisory-speed chain: raw safe speed, scaled speed, final advisory
     capped at design speed, and percent reduction from design speed; floats
@@ -27,15 +27,27 @@ class SpeedProfile:
     v_design: float
     reduction_pct: float
 
+    # One __dict__ update, not a frozen dataclass's setattr per field (see
+    # bands.EnvironmentReading).
+    def __init__(self, v_fhwa: float, v_scaled: float, v_advisory: float, v_design: float,
+                 reduction_pct: float):
+        vars(self).update(v_fhwa=v_fhwa, v_scaled=v_scaled, v_advisory=v_advisory,
+                          v_design=v_design, reduction_pct=reduction_pct)
+
 
 def fhwa_safe_speed(mu: float, grade: float, sight_distance: float) -> float:
     """Safe speed (mph) for the available sight distance on a surface with the
     given friction coefficient and decimal grade."""
-    if mu + grade <= 0:
-        raise ValueError(f"mu + grade must be > 0, got {mu + grade}")
+    mg = mu + grade
+    # Finite first, as in EnvironmentReading: NaN fails no comparison below.
+    if not math.isfinite(mg):
+        raise ValueError(f"mu + grade must be finite, got {mg}")
+    if not math.isfinite(sight_distance):
+        raise ValueError(f"sight distance must be finite, got {sight_distance}")
+    if mg <= 0:
+        raise ValueError(f"mu + grade must be > 0, got {mg}")
     if sight_distance < 0:
         raise ValueError(f"sight distance must be >= 0, got {sight_distance}")
-    mg = mu + grade
     v = textbook_safe_speed(mg, sight_distance)
     if not math.isfinite(v):
         v = fallback_safe_speed(mg, sight_distance)
@@ -58,6 +70,10 @@ def fallback_safe_speed(mg, sight_distance, sqrt=math.sqrt):
 def advisory_speed(v_fhwa: float, v_design: float) -> SpeedProfile:
     """Scale the raw safe speed and cap at design speed; the advisory never
     exceeds what the road design or current conditions allow."""
+    if not math.isfinite(v_fhwa):
+        raise ValueError(f"safe speed must be finite, got {v_fhwa}")
+    if not math.isfinite(v_design):
+        raise ValueError(f"design speed must be finite, got {v_design}")
     if v_fhwa < 0:
         raise ValueError(f"safe speed must be >= 0, got {v_fhwa}")
     if v_design <= 0:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 from itertools import islice
@@ -129,6 +130,12 @@ class TestReadingValidation:
     def test_grade_error_gives_the_sum(self):
         with pytest.raises(ValueError, match=r"^mu \+ grade must be > 0, got -0\.25$"):
             EnvironmentReading(mu=0.5, sight_distance=100, grade=-0.75)
+
+    def test_replace_validates_the_new_reading(self):
+        reading = EnvironmentReading(mu=0.5, sight_distance=100)
+        with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\], got 0\.0$"):
+            dataclasses.replace(reading, mu=0.0)
+        assert dataclasses.replace(reading, grade=0.25) == EnvironmentReading(0.5, 100, 0.25)
 
     def test_negative_grade_accepted_when_sum_positive(self):
         reading = EnvironmentReading(mu=0.5, sight_distance=100, grade=-0.04)

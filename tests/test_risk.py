@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+import pickle
 from dataclasses import astuple
 from operator import attrgetter
 
@@ -8,13 +11,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hazardrisk import (
+    Assessment,
     EnvironmentReading,
     RiskLevel,
+    SpeedProfile,
     assess,
     assess_columns,
     composite_risk,
     risk_level,
     risk_matrix,
+    speed_profile,
 )
 from hazardrisk.reporting import ASSESSMENT_FIELDS
 
@@ -194,6 +200,64 @@ class TestAssessProperties:
     def test_nonfinite_field_rejected(self, fields, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             EnvironmentReading(**{**fields, field: value})
+
+
+# The three records of a scored reading, each built anew on every call from
+# the same values. Their __init__ is written by hand (one __dict__ update), so
+# these hold them to what a generated frozen dataclass gives.
+RECORDS = {
+    EnvironmentReading: lambda catalog, joint: EnvironmentReading(0.5, 300.0, 0.01, 65.0),
+    SpeedProfile: lambda catalog, joint: speed_profile(0.5, 0.01, 300.0, 65.0),
+    Assessment: lambda catalog, joint: assess(
+        EnvironmentReading(0.5, 300.0, 0.01, 65.0), catalog, joint),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=attrgetter("__name__"))
+class TestRecords:
+    @pytest.fixture
+    def make(self, cls, catalog, joint_table):
+        return lambda: RECORDS[cls](catalog, joint_table)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, make):
+        record = make()
+        assert type(record) is cls
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field.name)
+        assert record == make()
+
+    def test_equal_values_give_equal_objects_and_hashes(self, cls, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert dataclasses.replace(a) == a
+
+    def test_every_field_is_stored_in_field_order(self, cls, make):
+        record = make()
+        names = [field.name for field in dataclasses.fields(cls)]
+        assert list(vars(record)) == names
+        assert list(dataclasses.asdict(record)) == names
+        assert repr(record).startswith(f"{cls.__name__}({names[0]}=")
+        assert cls(*vars(record).values()) == record
+
+    def test_pickle_round_trip_gives_an_equal_object(self, cls, make):
+        record = make()
+        loaded = pickle.loads(pickle.dumps(record))
+        assert type(loaded) is cls
+        assert loaded == record and hash(loaded) == hash(record)
+        assert list(vars(loaded)) == list(vars(record))
+
+    def test_signature_lists_the_fields(self, cls):
+        parameters = list(inspect.signature(cls).parameters.values())
+        assert [(p.name, p.default, p.kind) for p in parameters] == [
+            (f.name,
+             inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+             inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            for f in dataclasses.fields(cls)
+        ]
 
 
 # Band edges and classification cuts of the built-in catalog, where a reading

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -61,6 +62,33 @@ class TestFhwaSafeSpeed:
     )
     def test_monotone_in_friction(self, mu, delta, s):
         assert fhwa_safe_speed(mu + delta, 0, s) > fhwa_safe_speed(mu, 0, s)
+
+
+# NaN fails every comparison, so both functions check finiteness first: a NaN
+# or infinite input would otherwise give a NaN safe speed, or a NaN reduction
+# that min and max turn into 0.0, the safest severity.
+@pytest.mark.parametrize("function,args,message", [
+    (fhwa_safe_speed, (0.5, 0.0, math.nan), "sight distance must be finite, got nan"),
+    (fhwa_safe_speed, (0.5, 0.0, math.inf), "sight distance must be finite, got inf"),
+    (fhwa_safe_speed, (math.nan, 0.0, 100.0), "mu + grade must be finite, got nan"),
+    (fhwa_safe_speed, (0.5, math.nan, 100.0), "mu + grade must be finite, got nan"),
+    (fhwa_safe_speed, (math.inf, 0.0, 100.0), "mu + grade must be finite, got inf"),
+    (fhwa_safe_speed, (0.5, -math.inf, 100.0), "mu + grade must be finite, got -inf"),
+    (fhwa_safe_speed, (1e308, 1e308, 100.0), "mu + grade must be finite, got inf"),
+    (fhwa_safe_speed, (0.5, -0.5, 100.0), "mu + grade must be > 0, got 0.0"),
+    (fhwa_safe_speed, (0.5, 0.0, -1e-300), "sight distance must be >= 0, got -1e-300"),
+    (advisory_speed, (math.nan, 75.0), "safe speed must be finite, got nan"),
+    (advisory_speed, (math.inf, 75.0), "safe speed must be finite, got inf"),
+    (advisory_speed, (20.0, math.nan), "design speed must be finite, got nan"),
+    (advisory_speed, (20.0, math.inf), "design speed must be finite, got inf"),
+    (advisory_speed, (-1e-300, 75.0), "safe speed must be >= 0, got -1e-300"),
+    (advisory_speed, (20.0, 0.0), "design speed must be > 0, got 0.0"),
+    (speed_profile, (math.nan, 0.0, 100.0, 75.0), "mu + grade must be finite, got nan"),
+    (speed_profile, (0.5, 0.0, 100.0, math.nan), "design speed must be finite, got nan"),
+])
+def test_outside_the_domain_rejected(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
 
 
 class TestFallbackSafeSpeed:
