@@ -14,8 +14,10 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import sys
+import tempfile
 from contextlib import ExitStack, closing, contextmanager, nullcontext, suppress
 from dataclasses import asdict
 from functools import partial
@@ -74,13 +76,15 @@ def _numpy():
 def _sample_blocks(config, args: argparse.Namespace, catalog: BandCatalog, joint):
     """(rows, function) for each block of at most BLOCK_ROWS rows of the
     samples table, in order; the function formats it: its frame is (CSV text,
-    risk scores). Each scenario is drawn again from its own stream."""
+    risk scores). Its first draw outside the domain raises EnvironmentReading's error."""
     np = _numpy()
 
-    from .batch import assess_columns
+    from .batch import assess_columns, valid_readings
     from .sampler import scenario_samples
 
     def frame(scenario_id, mu, sight):
+        for i in np.flatnonzero(~valid_readings(mu, sight, args.grade, args.design_speed)).tolist():
+            EnvironmentReading(float(mu[i]), float(sight[i]), args.grade, args.design_speed)
         columns = assess_columns(mu, sight, args.grade, args.design_speed, catalog, joint)
         return assessed_text(np.full(len(mu), scenario_id), columns), columns["risk_score"]
 
@@ -208,15 +212,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # numpy loads only in simulate and replay: assess and matrix start without it.
     np = _numpy()
 
-    from .batch import valid_readings
-    from .sampler import SamplerConfig, by_mean_risk, scenario_samples, scenario_stats
+    from .sampler import SamplerConfig, by_mean_risk, scenario_stats
 
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
-    # A first pass raises at the first draw outside the domain, with the
-    # reading's message, before any file is written.
-    for _, mu, sight in scenario_samples(config, catalog):
-        for i in np.flatnonzero(~valid_readings(mu, sight, args.grade, args.design_speed)):
-            EnvironmentReading(float(mu[i]), float(sight[i]), args.grade, args.design_speed)
     per_scenario = -(-args.samples // BLOCK_ROWS)
     scenarios = scenario_grid(catalog)
     stats, scores = [], []
@@ -257,8 +255,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for stream in files.values():
                 stream.flush()
     except BaseException as exc:
-        # A failure here (a worker's, say, or a Ctrl-C) leaves every file in
-        # --out as it was, and no directory made for them.
+        # A failure here (a draw outside the domain, a worker's, or a Ctrl-C)
+        # leaves every file in --out as it was, and no directory made for them.
         with suppress(OSError):
             for d in made:
                 d.rmdir()
@@ -345,27 +343,32 @@ class _Log(io.RawIOBase):
 
 
 @contextmanager
-def _output(path, log: os.stat_result | None = None):
+def _output(path):
     """Every output file's stream: a temporary file beside `path`, renamed
     onto it with the old file's mode only once the block completes and
     removed on any exception, so a file at `path` keeps its bytes. A path
     that a rename would change in more than its bytes (a device, FIFO or
     symlink, a file with other links or another owner, or one in a read-only
-    directory) is written through instead, unless it is the input log (`log`,
-    its fstat), which that would truncate as it is read."""
+    directory) is opened at once, to fail first if it cannot be, but not
+    truncated: the stream is an unnamed file in $TMPDIR, copied onto it once
+    the block completes."""
     old = os.lstat(path) if os.path.lexists(path) else None
     whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
         old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
     )
-    if not whole and log and os.path.exists(path) and os.path.samestat(os.stat(path), log):
-        raise ValueError(f"--out {path} is the input log: it cannot be written while it is read")
     target = f"{path}.{os.getpid()}.tmp" if whole else path
     # A temporary name that is already taken, even by a symlink, is an error:
     # only a file this run created is written, renamed or removed.
-    fd = os.open(target, os.O_WRONLY | os.O_CREAT | (os.O_EXCL if whole else os.O_TRUNC), 0o666)
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT | (os.O_EXCL if whole else 0), 0o666)
     try:
-        with open(fd, "w", newline="", encoding="utf-8") as out:
-            yield out
+        with (open(fd, "w", newline="", encoding="utf-8") as out, nullcontext(out) if whole
+              else tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as staged):
+            yield staged
+            if not whole:
+                staged.seek(0)
+                if S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, 0)
+                shutil.copyfileobj(staged, out)
         if whole:
             if old:
                 os.chmod(target, S_IMODE(old.st_mode))
@@ -401,7 +404,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
                 print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
                 return EXIT_NODATA
-            log = os.fstat(raw.fileno())
             frames = _log_frames(header, args.design_speed, catalog, joint, numbered_records(reader))
             with closing(_blocks(frames)) as blocks:
                 for warnings, first in blocks:
@@ -412,7 +414,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     print("error: no valid rows in input", file=sys.stderr)
                     return EXIT_NODATA
                 try:
-                    with _output(args.out, log) if args.out else nullcontext(sys.stdout) as out:
+                    with _output(args.out) if args.out else nullcontext(sys.stdout) as out:
                         out.write(",".join(REPLAY_COLUMNS) + "\n")
                         out.write(first)
                         for warnings, text in blocks:

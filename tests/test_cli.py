@@ -11,6 +11,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -24,8 +25,8 @@ import hazardrisk.batch
 import hazardrisk.cli
 import hazardrisk.sampler
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
-                        generate_dataset, joint_probability, load_catalog, normalize_marginals,
-                        scenario_samples, scenario_statistics)
+                        default_catalog, generate_dataset, joint_probability, load_catalog,
+                        normalize_marginals, scenario_samples, scenario_statistics)
 from hazardrisk.batch import valid_readings
 from hazardrisk.cli import _number, main
 
@@ -51,10 +52,15 @@ SIMULATE_FILES = ["samples.csv", "scenario_stats.csv", "heatmap.csv", "marginals
                   "joint.csv", "manifest.json"]
 
 
-def earlier_run(out):
-    """A complete earlier simulate run in `out`, beside a file of the user's."""
+def earlier_run(out, linked=()):
+    """A complete earlier simulate run in `out`, beside a file of the user's.
+    Each file named in `linked` is a symlink, which simulate writes through,
+    to its bytes beside `out`."""
     assert main(["simulate", "--seed", "3", "--samples", "3", "--out", str(out)]) == 0
     (out / "keep.txt").write_text("kept")
+    for name in linked:
+        (out / name).rename(out.parent / name)
+        (out / name).symlink_to(out.parent / name)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +146,7 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
 
     def test_negative_grade_reached_by_a_draw_exits_64(self, tmp_path, capsys):
-        # An Icy draw below 0.1 meets the -0.1 grade before any file is written.
+        # An Icy draw below 0.1 meets the -0.1 grade: the run removes what it made.
         assert main(["simulate", "--samples", "5", "--grade", "-0.1",
                      "--out", str(tmp_path / "s")]) == 64
         assert capsys.readouterr().err.startswith("error: mu + grade must be > 0")
@@ -241,6 +247,14 @@ class TestSimulate:
         assert len(read_csv(target)) == 32
 
 
+def first_draw_error(config, grade):
+    """simulate's stderr for its first draw, in scenario order, that makes
+    mu + grade <= 0 with the built-in catalog."""
+    mu = next(float(m) for _, mus, _ in scenario_samples(config, default_catalog())
+              for m in mus.tolist() if m + grade <= 0)
+    return f"error: mu + grade must be > 0, got {mu + grade}\n"
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -327,7 +341,8 @@ FILE_SIZE_LIMIT = ("import resource, signal\n"
 
 
 # Blocks of 50 rows; the parent, or the worker, sends itself SIGINT as a
-# Ctrl-C would, or SIGTERM as kill would, after the first block it formats.
+# Ctrl-C would, or SIGTERM as kill would, or raises an exception, after the
+# first block it formats (`interrupted`).
 # The command loads numpy itself, with one BLAS thread, before the fork.
 # A process that starts with SIGINT ignored (a background job of a
 # non-interactive shell, say) keeps ignoring it: the prelude installs the
@@ -339,9 +354,16 @@ INTERRUPTED = ("import signal\n"
                "def interrupting(*args):\n"
                "    calls.append(1)\n"
                "    if len(calls) == 2 and (os.getpid() == parent) == {in_parent}:\n"
-               "        os.kill(os.getpid(), signal.{signal})\n"
+               "        {action}\n"
                "    return assessed_text(*args)\n"
                "hazardrisk.cli.assessed_text = interrupting\n")
+
+
+def interrupted(stop, in_parent):
+    """INTERRUPTED for a signal named in STOPPED, or an exception's name."""
+    action = f"os.kill(os.getpid(), signal.{stop})" if stop in STOPPED else f"raise {stop}"
+    return INTERRUPTED.format(in_parent=in_parent, action=action)
+
 
 # One friction band and one visibility band: a single scenario.
 ONE_SCENARIO_RATES = ("dimension,label,lower,upper,crash_rate\n"
@@ -409,8 +431,9 @@ class TestSimulateWorkers:
         assert forks == []
         assert len(read_csv(tmp_path / "s" / "samples.csv")) == 32
 
-    # --out is made by the run, or holds a file already.
-    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    # --out is made by the run, or holds a file already, or a complete earlier
+    # run whose samples.csv is a symlink.
+    @pytest.mark.parametrize("existing", [False, True, "linked"], ids=["made", "existing", "linked"])
     def test_failure_in_a_worker_exits_as_in_the_parent(self, tmp_path, capfd, monkeypatch, cpus,
                                                         existing):
         def no_memory():
@@ -418,7 +441,7 @@ class TestSimulateWorkers:
 
         out = tmp_path / "made" / "s"
         if existing:
-            earlier_run(out)
+            earlier_run(out, ["samples.csv"] if existing == "linked" else [])
         before = tree(tmp_path)
         monkeypatch.setattr(hazardrisk.batch, "assess_columns", in_a_worker(os.getpid(), no_memory))
         cpus(2)
@@ -446,9 +469,9 @@ class TestSimulateWorkers:
         assert not (tmp_path / "s").exists()
         assert_no_child_left()
 
-    # The check pass and the stream each draw the scenarios once, both in
-    # this process: the worker goes on with the stream it was forked in.
-    def test_scenarios_are_drawn_twice_in_all_by_the_parent(self, tmp_path, monkeypatch, cpus):
+    # The stream draws the scenarios once, in this process: the worker goes
+    # on with the stream it was forked in.
+    def test_scenarios_are_drawn_once_in_all_by_the_parent(self, tmp_path, monkeypatch, cpus):
         calls = tmp_path / "calls"
         scenario_samples = hazardrisk.sampler.scenario_samples
 
@@ -461,15 +484,31 @@ class TestSimulateWorkers:
         forks = cpus(2)
         assert main(self.FLAGS + ["--out", str(tmp_path / "s")]) == 0
         assert len(forks) == 1
-        assert calls.read_text() == f"{os.getpid()}\n" * 2
+        assert calls.read_text() == f"{os.getpid()}\n"
         assert_no_child_left()
 
-    def test_failed_check_pass_writes_nothing(self, tmp_path, capfd, cpus):
-        forks = cpus(2)
+    # The first draw below 0.1 is in an Icy scenario, block 36 or later: a
+    # forked run has forked and opened its files by then.
+    @pytest.mark.parametrize("n", [1, 2], ids=["serial", "forked"])
+    def test_draw_outside_the_domain_writes_nothing(self, tmp_path, capfd, cpus, n):
+        forks = cpus(n)
         assert main(self.FLAGS + ["--grade", "-0.1", "--out", str(tmp_path / "s")]) == 64
-        assert capfd.readouterr().err.startswith("error: mu + grade must be > 0")
-        assert not (tmp_path / "s").exists()
-        assert forks == []
+        assert capfd.readouterr().err == first_draw_error(SamplerConfig(5, 7), -0.1)
+        assert len(forks) == n - 1
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    # 3000 samples make two blocks a scenario: the run forks at block 1, and
+    # its files are open when the first Icy draw below 0.1 fails it.
+    def test_forked_draw_outside_the_domain_leaves_a_linked_earlier_run(self, tmp_path):
+        out = tmp_path / "s"
+        earlier_run(out, ["samples.csv"])
+        before = tree(tmp_path)
+        result = forking_run(["simulate", "--samples", "3000", "--grade", "-0.1",
+                              "--out", str(out)])
+        assert (result.returncode, result.stdout) == (64, "1\n")
+        assert result.stderr == first_draw_error(SamplerConfig(42, 3000), -0.1)
+        assert tree(tmp_path) == before
 
     # An --out that cannot be made fails before the fork (7 samples, blocks
     # of 3). At 20000 samples a write past 1 MB fails after the fork, while
@@ -539,7 +578,7 @@ class TestSimulateWorkers:
             earlier_run(out)
         before = tree(tmp_path)
         result = forking_run(["simulate", "--samples", "100", "--out", str(out)],
-                             INTERRUPTED.format(in_parent=in_parent, signal=stop))
+                             interrupted(stop, in_parent))
         code, error = STOPPED[stop]
         assert (result.returncode, result.stdout, result.stderr) == (code, "1\n", error)
         assert tree(tmp_path) == before
@@ -550,7 +589,9 @@ class TestSimulateWorkers:
     # joint.csv that fails, each after a first part of that table is written.
     # No file is renamed into --out: a complete earlier run there keeps its
     # bytes, no temporary file is left, and a directory the run made is removed.
-    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    # A linked earlier run's samples.csv and manifest.json are symlinks, which
+    # are written through: their targets keep their bytes too.
+    @pytest.mark.parametrize("existing", [False, True, "linked"], ids=["made", "existing", "linked"])
     @pytest.mark.parametrize("first, failure, code, error", [
         (HEATMAP_COLUMNS[0], "os.kill(os.getpid(), signal.SIGINT)", *STOPPED["SIGINT"]),
         (HEATMAP_COLUMNS[0], "os.kill(os.getpid(), signal.SIGTERM)", *STOPPED["SIGTERM"]),
@@ -561,7 +602,7 @@ class TestSimulateWorkers:
                                                          failure, code, error):
         out = tmp_path / "made" / "s"
         if existing:
-            earlier_run(out)
+            earlier_run(out, ["samples.csv", "manifest.json"] if existing == "linked" else [])
         before = tree(tmp_path)
         # The table is told by the first column of its header.
         prelude = ("import signal\n"
@@ -828,7 +869,7 @@ class TestReplayWorkers:
         if not in_parent:
             out.write_bytes(b"earlier result\n")
         result = forking_run(["replay", "--input", str(src), "--out", str(out)],
-                             INTERRUPTED.format(in_parent=in_parent, signal=stop))
+                             interrupted(stop, in_parent))
         code, error = STOPPED[stop]
         assert (result.returncode, result.stdout) == (code, "1\n")
         assert result.stderr.endswith("\n" + error)
@@ -840,6 +881,26 @@ class TestReplayWorkers:
         else:
             assert sorted(tmp_path.iterdir()) == [out, src]
             assert out.read_bytes() == b"earlier result\n"
+
+    # A symlinked --out is opened before block 1, and its target keeps its
+    # bytes through a Ctrl-C or a SIGTERM in either process, or the worker's
+    # exception.
+    @pytest.mark.parametrize("stop, in_parent", STOP_CASES + [("MemoryError", False)],
+                             ids=STOP_IDS + ["worker-memory"])
+    def test_failure_leaves_a_symlinks_target(self, tmp_path, stop, in_parent):
+        src = tmp_path / "log.csv"
+        src.write_text(replay_log(300))
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier result\n")
+        out = tmp_path / "assessed.csv"
+        out.symlink_to(target)
+        result = forking_run(["replay", "--input", str(src), "--out", str(out)],
+                             interrupted(stop, in_parent))
+        code, error = STOPPED.get(stop, (64, "error: out of memory\n"))
+        assert (result.returncode, result.stdout) == (code, "1\n")
+        assert result.stderr.startswith("warning: line ") and result.stderr.endswith("\n" + error)
+        assert target.read_bytes() == b"earlier result\n" and out.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [out, src, target]
 
 
 class TestAssess:
@@ -1093,6 +1154,69 @@ class TestReplay:
         assert out.read_bytes() == b"earlier result\n"
         assert sorted(tmp_path.iterdir()) == [out, src]
 
+    # A written-through --out is staged in $TMPDIR: a log failing after the
+    # first block leaves the symlink's target as it was.
+    def test_log_failing_after_the_first_block_leaves_a_symlinks_target(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 1)
+        src = tmp_path / "readings.csv"
+        src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier result\n")
+        link = tmp_path / "assessed.csv"
+        link.symlink_to(target)
+        assert main(["replay", "--input", str(src), "--out", str(link)]) == 65
+        assert target.read_bytes() == b"earlier result\n"
+        assert link.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [link, src, target]
+
+    # The reader of a FIFO that a failed run opened gets no bytes, then EOF.
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_fifo_of_a_failed_run_reads_empty(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 1)
+        src = tmp_path / "readings.csv"
+        src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["replay", "--input", str(src), "--out", str(fifo)]) == 65
+        reader.join(timeout=10)
+        assert got == [""]
+
+    # The unnamed staging file leaves nothing in $TMPDIR, after a run or a
+    # failed one; a $TMPDIR that cannot be written exits 2 before any block
+    # reaches the target.
+    def test_staged_output_leaves_nothing_in_tmpdir(self, tmp_path, capsys, monkeypatch):
+        staging = tmp_path / "tmpdir"
+        staging.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(staging))
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        bad.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\n"' + "t" * 131073 + '",0.8,5000\n')
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier result\n")
+        link = tmp_path / "assessed.csv"
+        link.symlink_to(target)
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 1)
+        assert main(["replay", "--input", str(bad), "--out", str(link)]) == 65
+        assert capsys.readouterr().err.startswith(f"error: {bad} is not readable CSV at line 3")
+        assert list(staging.iterdir()) == []
+        staging.rmdir()
+        assert main(["replay", "--input", str(good), "--out", str(link)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert target.read_bytes() == b"earlier result\n"
+        staging.mkdir()
+        assert main(["replay", "--input", str(good), "--out", str(link)]) == 0
+        assert [r["timestamp"] for r in read_csv(target)] == ["t0"]
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "samples.csv").symlink_to(target)
+        assert main(["simulate", "--samples", "2", "--out", str(out)]) == 0
+        assert len(read_csv(target)) == 32
+        assert list(staging.iterdir()) == []
+
     def test_out_with_another_link_is_written_through(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
         src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
@@ -1130,23 +1254,26 @@ class TestReplay:
         assert link.is_symlink()
         assert [r["timestamp"] for r in read_csv(target)] == ["t0"]
 
-    # Written through, --out would truncate the log it names as it is read.
+    # Written through, --out is written only once the loop has ended: both
+    # processes have read the log to its end, and the worker is reaped.
     @pytest.mark.parametrize("link", ["symlink", "hard_link"])
-    def test_out_linked_to_the_log_exits_64(self, tmp_path, capsys, monkeypatch, link):
-        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 3)
+    def test_out_linked_to_the_log_replaces_it(self, tmp_path, capsys, cpus, link):
+        forks = cpus(2)
         src = tmp_path / "readings.csv"
-        src.write_text("timestamp,mu,sight_ft\n" + "t,0.5,600\n" * 20)
-        log = src.read_bytes()
+        src.write_text("timestamp,mu,sight_ft\n" + "".join(f"t{i},0.5,600\n" for i in range(20)))
+        fresh = tmp_path / "fresh.csv"
+        assert main(["replay", "--input", str(src), "--out", str(fresh)]) == 0
         out = tmp_path / "assessed.csv"
         if link == "symlink":
             out.symlink_to(src.name)
         else:
             os.link(src, out)
-        assert main(["replay", "--input", str(src), "--out", str(out)]) == 64
-        assert capsys.readouterr().err == (
-            f"error: --out {out} is the input log: it cannot be written while it is read\n")
-        assert src.read_bytes() == log and out.read_bytes() == log
-        assert sorted(tmp_path.iterdir()) == [out, src]
+        assert main(["replay", "--input", str(src), "--out", str(out)]) == 0
+        assert len(forks) == 2
+        assert src.read_bytes() == fresh.read_bytes()
+        assert out.is_symlink() if link == "symlink" else out.samefile(src)
+        assert sorted(tmp_path.iterdir()) == [out, fresh, src]
+        assert_no_child_left()
 
     def test_out_that_names_the_log_replaces_it(self, tmp_path, capsys, monkeypatch):
         # The log's only name is renamed onto once the whole log is read.
@@ -1541,8 +1668,8 @@ def test_simulate_exits_64_exactly_when_a_draw_leaves_the_domain(tmp_path, rates
                   for _, mu, sight in scenario_samples(sampler, load_catalog(config)))
     rc = main(["simulate", "--seed", str(seed), "--samples", "40", "--grade", repr(grade),
                "--config", str(config), "--out", str(out)])
-    # Had the check pass been skipped, an invalid draw would reach the writer:
-    # exit 0, or a failure after the directory was made.
+    # An invalid draw that no block checked would reach the writer: exit 0,
+    # or a failure that left the directory the run made.
     assert (rc, out.exists()) == ((64, False) if invalid else (0, True))
 
 

@@ -77,17 +77,22 @@ BLOCK_ROWS = st.integers(1, 4)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 30), grade=st.floats(-0.2, 0.2),
        design=st.floats(25.0, 80.0), block_rows=BLOCK_ROWS, fork=st.booleans())
-def test_simulate_writes_the_reference_rows(tmp_path, monkeypatch, cpus, seed, n, grade, design,
-                                            block_rows, fork):
+def test_simulate_writes_the_reference_rows(tmp_path, monkeypatch, capsys, cpus, seed, n, grade,
+                                            design, block_rows, fork):
     monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", block_rows)
     forks = cpus(2 if fork else 1)
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
     rc = main(["simulate", "--seed", str(seed), "--samples", str(n), "--grade", repr(grade),
                "--design-speed", repr(design), "--out", str(out)])
-    if (reference.sample(seed, n)[1] + grade <= 0).any():
-        # Every draw is checked before the output directory is made, or a fork.
-        assert (rc, out.exists(), forks) == (64, False, [])
+    mg = reference.sample(seed, n)[1] + grade
+    if (mg <= 0).any():
+        # The first such draw in scenario order fails the run, whichever
+        # process makes its block, and the run removes what it made.
+        x = float(mg[np.flatnonzero(mg <= 0)[0]])
+        assert (rc, out.exists()) == (64, False)
+        assert capsys.readouterr().err == f"error: mu + grade must be > 0, got {x}\n"
         return
     # 16 scenarios make more than one block: a run forks once a scenario
     # fills a block, so that this check cannot quietly go serial.
