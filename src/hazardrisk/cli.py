@@ -21,14 +21,14 @@ import tempfile
 from contextlib import ExitStack, closing, contextmanager, nullcontext, suppress
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
 from . import __version__
 from .bands import (BandCatalog, EnvironmentReading, default_catalog, load_catalog,
-                    numbered_records, repeated_column, scenario_grid)
+                    numbered_records, repeated_column)
 from .probability import joint_probability, normalize_marginals
 from .reporting import (ASSESSMENT_COLUMNS, HEATMAP_COLUMNS, REPLAY_COLUMNS, SAMPLES_COLUMNS,
                         assessed_text, assessment_record, heatmap_rows, joint_table,
@@ -74,24 +74,26 @@ def _numpy():
 
 
 def _sample_blocks(config, args: argparse.Namespace, catalog: BandCatalog, joint):
-    """(rows, function) for each block of at most BLOCK_ROWS rows of the
-    samples table, in order; the function formats it: its frame is (CSV text,
-    risk scores). Its first draw outside the domain raises EnvironmentReading's error."""
+    """A function for each block of at most BLOCK_ROWS rows of the samples
+    table, in order, that formats it: its frame is (scenario, CSV text, risk
+    scores). Each block holds one scenario's rows. Its first draw outside the
+    domain raises EnvironmentReading's error."""
     np = _numpy()
 
     from .batch import assess_columns, valid_readings
     from .sampler import scenario_samples
 
-    def frame(scenario_id, mu, sight):
+    def frame(scenario, mu, sight):
         for i in np.flatnonzero(~valid_readings(mu, sight, args.grade, args.design_speed)).tolist():
             EnvironmentReading(float(mu[i]), float(sight[i]), args.grade, args.design_speed)
         columns = assess_columns(mu, sight, args.grade, args.design_speed, catalog, joint)
-        return assessed_text(np.full(len(mu), scenario_id), columns), columns["risk_score"]
+        text = assessed_text(np.full(len(mu), scenario.scenario_id), columns)
+        return scenario, text, columns["risk_score"]
 
     for scenario, mu, sight in scenario_samples(config, catalog):
         for start in range(0, len(mu), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            yield len(mu[block]), partial(frame, scenario.scenario_id, mu[block], sight[block])
+            yield partial(frame, scenario, mu[block], sight[block])
 
 
 def _one_thread() -> bool:
@@ -136,21 +138,22 @@ def _terminated(signum, frame):
     raise Terminated
 
 
-def _blocks(blocks):
-    """Every block's frame in order. `blocks` gives (rows, function) per
-    block, the function making its frame. Once a run reaches block 1 after a
-    block 0 of BLOCK_ROWS rows, one worker forks if `_forks()`: a smaller run
-    costs less than a fork. The worker goes on with its copy of `blocks`, and
-    pickles the frame of block 1 and each odd block after it, or the exception
-    that stopped it, into its pipe, for the parent to raise in its turn; the
-    parent makes the even blocks. When the stream ends or is closed, the pipe
-    is closed and the worker reaped. After a failed fork, the run is serial."""
+def _blocks(frames, large: bool = True):
+    """Every block's frame in order: `frames` gives a function per block that
+    makes its frame. Once a run reaches block 1, one worker forks if `large`
+    (its caller's word that block 0 held BLOCK_ROWS rows: a smaller run costs
+    less than a fork) and `_forks()`. The worker goes on with its copy of
+    `frames`, and pickles the frame of block 1 and each odd block after it,
+    or the exception that stopped it, into its pipe, for the parent to raise
+    in its turn; the parent makes the even blocks. When the stream ends or is
+    closed, the pipe is closed and the worker reaped. After a failed fork,
+    the run is serial."""
     import fcntl
     import pickle
 
     workers = []
 
-    def fork(rows, block):
+    def fork(frame):
         read_fd, write_fd = os.pipe()
         # A 1 MB pipe holds several blocks: the worker runs ahead of the parent.
         with suppress(AttributeError, OSError):
@@ -169,8 +172,8 @@ def _blocks(blocks):
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
                     try:
-                        for _, block in chain([(rows, block)], islice(blocks, 1, None, 2)):
-                            pickle.dump(block(), pipe)
+                        for frame in chain([frame], islice(frames, 1, None, 2)):
+                            pickle.dump(frame(), pipe)
                             pipe.flush()
                         code = 0
                     except BaseException as exc:  # the parent raises it in order
@@ -193,12 +196,10 @@ def _blocks(blocks):
         return frame
 
     try:
-        for k, (rows, block) in enumerate(blocks):
-            if k == 0:
-                full = rows == BLOCK_ROWS
-            elif k == 1 and full and _forks():
-                fork(rows, block)
-            yield received(k) if workers and k % 2 else block()
+        for k, frame in enumerate(frames):
+            if k == 1 and large and _forks():
+                fork(frame)
+            yield received(k) if workers and k % 2 else frame()
     finally:
         for pid, pipe in workers:
             pipe.close()  # a worker still writing stops at its next block
@@ -215,13 +216,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .sampler import SamplerConfig, by_mean_risk, scenario_stats
 
     config = SamplerConfig(args.seed, args.samples, args.sigma_rule)
-    per_scenario = -(-args.samples // BLOCK_ROWS)
-    scenarios = scenario_grid(catalog)
-    stats, scores = [], []
+    stats = []
 
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    blocks = _blocks(_sample_blocks(config, args, catalog, joint))
+    blocks = _blocks(_sample_blocks(config, args, catalog, joint), args.samples >= BLOCK_ROWS)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with closing(blocks), ExitStack() as stack:
@@ -234,13 +233,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             files["samples.csv"].write(",".join(SAMPLES_COLUMNS) + "\n")
             # Every block in order, the worker's as it sends them; a
             # scenario's stats row is made once its last block is in.
-            for k, (text, block_scores) in enumerate(blocks):
-                files["samples.csv"].write(text)
-                scores.append(block_scores)
-                if (k + 1) % per_scenario == 0:
-                    stats.append(scenario_stats(scenarios[k // per_scenario],
-                                                np.concatenate(scores)))
-                    scores = []
+            for scenario, frames in groupby(blocks, itemgetter(0)):
+                scores = []
+                for _, text, block_scores in frames:
+                    files["samples.csv"].write(text)
+                    scores.append(block_scores)
+                stats.append(scenario_stats(scenario, np.concatenate(scores)))
             tables = {
                 "scenario_stats.csv": scenario_stats_table(by_mean_risk(stats)),
                 "heatmap.csv": (HEATMAP_COLUMNS, heatmap_rows()),
@@ -288,11 +286,12 @@ def _number(text: str, default) -> float:
 
 
 def _log_frames(header: list[str], design_speed: float, catalog, joint, records):
-    """(rows, function) for each block of at most BLOCK_ROWS numbered log
-    records, in order; the function scores it: its frame is (warning lines,
-    CSV text of its valid readings). Blank lines are skipped; a row not as
-    wide as the header is skipped with a warning, as is each row the domain
-    mask rejects, parsed alone for its message. Warnings are in line order."""
+    """A function for each block of at most BLOCK_ROWS numbered log records,
+    in order, that scores it: its frame is (warning lines, CSV text of its
+    valid readings). Only the last block is short, so a block 1 follows a
+    full block 0. Blank lines are skipped; a row not as wide as the header is
+    skipped with a warning, as is each row the domain mask rejects, parsed
+    alone for its message. Warnings are in line order."""
     np = _numpy()
 
     from .batch import assess_columns, valid_readings
@@ -321,7 +320,7 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
                        for line, reason in sorted(warnings, key=itemgetter(0))), text
 
     for block in iter(lambda: list(islice(records, BLOCK_ROWS)), []):
-        yield len(block), partial(frame, block)
+        yield partial(frame, block)
 
 
 class _Log(io.RawIOBase):
@@ -351,12 +350,14 @@ def _output(path):
     symlink, a file with other links or another owner, or one in a read-only
     directory) is opened at once, to fail first if it cannot be, but not
     truncated: the stream is an unnamed file in $TMPDIR, copied onto it once
-    the block completes."""
+    the block completes. A file that this open creates, such as a dangling
+    symlink's target, is removed on any exception too."""
     old = os.lstat(path) if os.path.lexists(path) else None
     whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
         old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
     )
     target = f"{path}.{os.getpid()}.tmp" if whole else path
+    made = not os.path.exists(target)
     # A temporary name that is already taken, even by a symlink, is an error:
     # only a file this run created is written, renamed or removed.
     fd = os.open(target, os.O_WRONLY | os.O_CREAT | (os.O_EXCL if whole else 0), 0o666)
@@ -374,8 +375,8 @@ def _output(path):
                 os.chmod(target, S_IMODE(old.st_mode))
             os.replace(target, path)
     except BaseException:
-        if whole:
-            Path(target).unlink(missing_ok=True)
+        if made:
+            Path(os.path.realpath(target)).unlink(missing_ok=True)
         raise
 
 
