@@ -1,8 +1,8 @@
 """Command-line interface: simulate, assess, replay, matrix.
 
 Exit codes: 0 success, 2 unwritable output, sysexits' 64 usage / invalid
-configuration, 65 no valid input data and 66 missing input, 130 interrupted
-and 143 terminated.
+configuration, 65 no valid input data and 66 missing or unreadable input,
+130 interrupted and 143 terminated.
 """
 
 from __future__ import annotations
@@ -323,19 +323,32 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
         yield partial(frame, block)
 
 
-class _Log(io.RawIOBase):
-    """The bytes of the file open at `fd`, read with os.pread at an offset of
-    this object's own: a forked worker copies it and reads on, while the file
-    offset, which the fork shares, is never moved."""
+class InputError(Exception):
+    """The log cannot be opened or read: exit 66. Not an OSError, which is the
+    output's, so that a read in either process fails the run alike."""
 
-    def __init__(self, fd: int):
-        self.fd, self.offset = fd, 0
+
+def _reading(path, call, *args):
+    """call(*args), whose OSError is raised as the InputError of the log at `path`."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise InputError(f"cannot read input {path}: [Errno {exc.errno}] {exc.strerror}") from None
+
+
+class _Log(io.RawIOBase):
+    """The bytes of the log `path` open at `fd`, read with os.pread at an
+    offset of this object's own: a forked worker copies it and reads on, while
+    the file offset, which the fork shares, is never moved."""
+
+    def __init__(self, fd: int, path):
+        self.fd, self.path, self.offset = fd, path, 0
 
     def readable(self):
         return True
 
     def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, len(buffer), self.offset)
+        data = _reading(self.path, os.pread, self.fd, len(buffer), self.offset)
         buffer[:len(data)] = data
         self.offset += len(data)
         return len(data)
@@ -343,24 +356,24 @@ class _Log(io.RawIOBase):
 
 @contextmanager
 def _output(path):
-    """Every output file's stream: a temporary file beside `path`, renamed
-    onto it with the old file's mode only once the block completes and
-    removed on any exception, so a file at `path` keeps its bytes. A path
-    that a rename would change in more than its bytes (a device, FIFO or
-    symlink, a file with other links or another owner, or one in a read-only
-    directory) is opened at once, to fail first if it cannot be, but not
-    truncated: the stream is an unnamed file in $TMPDIR, copied onto it once
-    the block completes. A file that this open creates, such as a dangling
-    symlink's target, is removed on any exception too."""
+    """Every output file's stream; only a rename creates or replaces a file.
+    A path that does not exist, or a regular file of this user's with no
+    other link in a directory it may write, gets a temporary file beside it,
+    renamed onto it with the old file's mode only once the block completes
+    and removed on any exception. A dangling symlink stands for its target.
+    Any other path (a device, FIFO or symlink, a file with other links or
+    another owner, or one in a read-only directory) is opened at once, not
+    created, to fail first if it cannot be, nor truncated: the stream is an
+    unnamed file in $TMPDIR, copied onto it once the block completes."""
+    if os.path.islink(path) and not os.path.exists(path):
+        path = os.path.realpath(path)
     old = os.lstat(path) if os.path.lexists(path) else None
-    whole = os.access(os.path.dirname(path) or ".", os.W_OK) and (
-        old is None or (S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid())
-    )
+    whole = old is None or (os.access(os.path.dirname(path) or ".", os.W_OK) and (
+        S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid()))
     target = f"{path}.{os.getpid()}.tmp" if whole else path
-    made = not os.path.exists(target)
     # A temporary name that is already taken, even by a symlink, is an error:
     # only a file this run created is written, renamed or removed.
-    fd = os.open(target, os.O_WRONLY | os.O_CREAT | (os.O_EXCL if whole else 0), 0o666)
+    fd = os.open(target, os.O_WRONLY | (os.O_CREAT | os.O_EXCL if whole else 0), 0o666)
     try:
         with (open(fd, "w", newline="", encoding="utf-8") as out, nullcontext(out) if whole
               else tempfile.TemporaryFile("w+", newline="", encoding="utf-8") as staged):
@@ -375,8 +388,8 @@ def _output(path):
                 os.chmod(target, S_IMODE(old.st_mode))
             os.replace(target, path)
     except BaseException:
-        if made:
-            Path(os.path.realpath(target)).unlink(missing_ok=True)
+        if whole:
+            Path(target).unlink(missing_ok=True)
         raise
 
 
@@ -393,8 +406,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _, _, joint = _build_joint(catalog)
 
     try:
-        with (open(input_path, "rb", buffering=0) as raw, io.TextIOWrapper(
-                io.BufferedReader(_Log(raw.fileno())), encoding="utf-8-sig", newline="") as fh):
+        with (_reading(input_path, open, input_path, "rb", 0) as raw,
+              io.TextIOWrapper(io.BufferedReader(_Log(raw.fileno(), input_path)),
+                               encoding="utf-8-sig", newline="") as fh):
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or not {"timestamp", "mu", "sight_ft"}.issubset(header):
@@ -424,6 +438,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 except OSError as exc:
                     print(f"error: cannot write output: {exc}", file=sys.stderr)
                     return EXIT_IO
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOINPUT
     except UnicodeDecodeError as exc:
         print(f"error: {input_path} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_NODATA

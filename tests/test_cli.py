@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -270,6 +271,50 @@ class TestSimulate:
             assert sorted(tree(tmp_path)) == ["s", "s/samples.csv"]
         else:
             assert len(read_csv(target)) == 80
+
+    # The same failed run, with samples.csv retargeted at a file of the
+    # user's while the run formats its first block.
+    def test_dangling_symlink_retargeted_during_a_failed_run_keeps_both_files(
+            self, tmp_path, capsys, monkeypatch):
+        out, link = retargeted_run(tmp_path, monkeypatch, "s/samples.csv", call=1)
+        assert main(["simulate", "--samples", "5", "--grade", "-0.1", "--out", str(out)]) == 64
+        assert tree(tmp_path) == {"precious.txt": b"the user's\n", "s": None,
+                                  "s/samples.csv": "../precious.txt"}
+
+    # A SIGKILL, which no handler sees, in the second block of a run whose
+    # samples.csv is a dangling symlink: the target is not made. The run's
+    # temporary files may be left.
+    def test_sigkill_leaves_a_dangling_symlinks_target_absent(self, tmp_path):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "samples.csv").symlink_to("../samples.target")
+        prelude = INTERRUPTED.format(in_parent=True, action="os.kill(os.getpid(), signal.SIGKILL)")
+        result = forking_run(["simulate", "--samples", "5", "--out", str(out)], prelude)
+        assert result.returncode == -signal.SIGKILL
+        assert (out / "samples.csv").is_symlink()
+        assert not (tmp_path / "samples.target").exists()
+
+
+def retargeted_run(tmp_path, monkeypatch, name, call):
+    """tmp_path/`name` (under a directory made here) as a symlink to the
+    absent tmp_path/missing.csv, beside tmp_path/precious.txt. Call number
+    `call` of cli.assessed_text first points the symlink at precious.txt.
+    Returns the symlink's directory and the symlink."""
+    link = tmp_path / name
+    link.parent.mkdir()
+    link.symlink_to("../missing.csv")
+    (tmp_path / "precious.txt").write_bytes(b"the user's\n")
+    assessed_text, calls = hazardrisk.cli.assessed_text, []
+
+    def retargeting(*args):
+        calls.append(1)
+        if len(calls) == call:
+            link.unlink()
+            link.symlink_to("../precious.txt")
+        return assessed_text(*args)
+
+    monkeypatch.setattr(hazardrisk.cli, "assessed_text", retargeting)
+    return link.parent, link
 
 
 def first_draw_error(config, grade):
@@ -680,7 +725,59 @@ def replay_log(rows):
     return "timestamp,mu,sight_ft,grade,design_speed\n" + "\n".join(lines) + "\n"
 
 
+# 20 rows of about 3 kB, each fourth from the second skipped: the log is
+# read 8 kB at a time, and block k of 3 rows is read by os.pread call k + 2.
+LONG_ROWS_LOG = "timestamp,mu,sight_ft\n" + "".join(
+    f"{'t' * 3000}{i},{'abc' if i % 4 == 1 else '0.5'},600\n" for i in range(20))
+
+
+def failing_pread(at, parent=None):
+    """os.pread, except that its call number `at` fails with EIO, in any
+    process or, given `parent`, in any other."""
+    pread, calls = os.pread, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == at and os.getpid() != parent:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return pread(*args)
+
+    return failing
+
+
 class TestReplayWorkers:
+    # The read that fails is the header's, one in block 0, or one in block
+    # 5, which a forked run reads after its fork: in every process, or in a
+    # forked run's worker only. The run exits 66 with the same warnings and
+    # error line on 1 and 2 CPUs, and leaves --out as it was.
+    @pytest.mark.parametrize("at, in_worker, warned", [
+        (1, False, 0), (2, False, 0), (7, False, 4), (7, True, 4)],
+        ids=["header", "block_0", "block_5", "worker-block_5"])
+    def test_log_that_cannot_be_read_exits_66(self, tmp_path, capfd, monkeypatch, cpus,
+                                              at, in_worker, warned):
+        src = tmp_path / "log.csv"
+        src.write_text(LONG_ROWS_LOG)
+        out = tmp_path / "assessed.csv"
+        out.write_bytes(b"earlier result\n")
+        results = []
+        for n in (1, 2):
+            forks = cpus(n)
+            parent = os.getpid() if in_worker and n == 2 else None
+            monkeypatch.setattr(os, "pread", failing_pread(at, parent))
+            results.append((main(["replay", "--input", str(src), "--out", str(out)]),
+                            capfd.readouterr()))
+            assert len(forks) == (n - 1 if at == 7 else 0)
+            assert out.read_bytes() == b"earlier result\n"
+            assert sorted(tmp_path.iterdir()) == [out, src]
+            assert_no_child_left()
+        assert results[1] == results[0]
+        code, captured = results[0]
+        assert (code, captured.out) == (66, "")
+        assert captured.err.count("warning: line ") == warned
+        assert captured.err.endswith(
+            f"error: cannot read input {src}: [Errno 5] Input/output error\n")
+        assert captured.err.count("\n") == warned + 1
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, capfd, cpus, to_file):
         src = tmp_path / "log.csv"
@@ -1227,6 +1324,20 @@ class TestReplay:
         assert link.is_symlink()
         assert sorted(tmp_path.iterdir()) == [link, src]
 
+    # The same with two valid blocks first: the symlink is retargeted at a
+    # file of the user's as block 1 is formatted, after --out is opened.
+    def test_dangling_symlink_retargeted_during_a_failed_run_keeps_both_files(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 1)
+        _, link = retargeted_run(tmp_path, monkeypatch, "out/assessed.csv", call=2)
+        src = tmp_path / "readings.csv"
+        src.write_text('timestamp,mu,sight_ft\nt0,0.8,5000\nt1,0.8,5000\n"'
+                       + "t" * 131073 + '",0.8,5000\n')
+        assert main(["replay", "--input", str(src), "--out", str(link)]) == 65
+        assert "is not readable CSV at line 4" in capsys.readouterr().err
+        assert {p: v for p, v in tree(tmp_path).items() if p != "readings.csv"} == {
+            "precious.txt": b"the user's\n", "out": None, "out/assessed.csv": "../precious.txt"}
+
     # The reader of a FIFO that a failed run opened gets no bytes, then EOF.
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_out_fifo_of_a_failed_run_reads_empty(self, tmp_path, capsys, monkeypatch):
@@ -1422,6 +1533,29 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert [r["timestamp"] for r in csv.DictReader(io.StringIO(captured.out))] == ["t0"]
+
+    # The error names the log once: not again as the open's file name.
+    def test_log_that_cannot_be_opened_exits_66(self, tmp_path, capsys, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        monkeypatch.setattr(hazardrisk.cli, "open", denied, raising=False)
+        assert main(["replay", "--input", str(src)]) == 66
+        assert capsys.readouterr() == (
+            "", f"error: cannot read input {src}: [Errno 13] Permission denied\n")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may read any file"
+    )
+    def test_log_without_read_permission_exits_66(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        src.chmod(0)
+        assert main(["replay", "--input", str(src)]) == 66
+        assert capsys.readouterr().err == (
+            f"error: cannot read input {src}: [Errno 13] Permission denied\n")
 
     def test_missing_input_exits_66(self, tmp_path, capsys):
         assert main(["replay", "--input", str(tmp_path / "nope.csv")]) == 66
