@@ -49,12 +49,22 @@ CONFIG_ENV_VAR = "HAZARD_RISK_CONFIG"
 BLOCK_ROWS = 1 << 11
 
 
+class Failure(Exception):
+    """Failure(code, message): main prints `error: {message}` and exits `code`."""
+
+    code = property(lambda self: self.args[0])  # both are args, which a worker's pickle keeps
+
+    def __str__(self):
+        return self.args[1]
+
+
 def _resolve_catalog(config_path: str | None) -> tuple[BandCatalog, str]:
     """Catalog from --config, else $HAZARD_RISK_CONFIG, else built-in defaults."""
     path = config_path or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        return load_catalog(path), str(path)
-    return default_catalog(), "builtin"
+    try:
+        return (load_catalog(path), str(path)) if path else (default_catalog(), "builtin")
+    except OSError as exc:  # an input's: main takes any other OSError for an output's
+        raise Failure(EXIT_USAGE, str(exc)) from None
 
 
 def _build_joint(catalog: BandCatalog):
@@ -126,10 +136,6 @@ def _forks() -> bool:
             and min(len(os.sched_getaffinity(0)), _cgroup_cpus() or 2) >= 2)
 
 
-class WorkerError(Exception):
-    """A worker ended without its block. Not an OSError: that is the output's."""
-
-
 class Terminated(BaseException):
     """SIGTERM, raised where the command runs, as Ctrl-C raises KeyboardInterrupt."""
 
@@ -143,26 +149,27 @@ def _blocks(frames, large: bool = True):
     makes its frame. Once a run reaches block 1, one worker forks if `large`
     (its caller's word that block 0 held BLOCK_ROWS rows: a smaller run costs
     less than a fork) and `_forks()`. The worker goes on with its copy of
-    `frames`, and pickles the frame of block 1 and each odd block after it,
-    or the exception that stopped it, into its pipe, for the parent to raise
-    in its turn; the parent makes the even blocks. When the stream ends or is
-    closed, the pipe is closed and the worker reaped. After a failed fork,
-    the run is serial."""
+    `frames`, and pickles the frame of block 1 and each odd block after it, or
+    the exception that stopped it, into its pipe, for the parent to raise in
+    its turn; the parent makes the even blocks. When the stream ends or is
+    closed, the pipe is closed and the worker reaped. A worker's end without
+    its block exits 64; after a failed pipe or fork, the run is serial."""
     import fcntl
     import pickle
 
     workers = []
 
     def fork(frame):
-        read_fd, write_fd = os.pipe()
-        # A 1 MB pipe holds several blocks: the worker runs ahead of the parent.
-        with suppress(AttributeError, OSError):
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+        fds = ()
         try:
+            fds = read_fd, write_fd = os.pipe()
+            # A 1 MB pipe holds several blocks: the worker runs ahead of the parent.
+            with suppress(AttributeError, OSError):
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
             pid = os.fork()
-        except OSError:  # no process to spare: the serial loop needs none
-            os.close(read_fd)
-            os.close(write_fd)
+        except OSError:  # no descriptor or process to spare: the serial loop needs neither
+            for fd in fds:
+                os.close(fd)
             return
         if pid == 0:
             code = 1
@@ -190,7 +197,7 @@ def _blocks(frames, large: bool = True):
         except (EOFError, pickle.UnpicklingError):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise WorkerError(f"worker process {pid} {how} before block {k}") from None
+            raise Failure(EXIT_USAGE, f"worker process {pid} {how} before block {k}") from None
         if isinstance(frame, BaseException):
             raise frame
         return frame
@@ -252,16 +259,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "table_source": table_source}, outputs=outputs))
             for stream in files.values():
                 stream.flush()
-    except BaseException as exc:
-        # A failure here (a draw outside the domain, a worker's, or a Ctrl-C)
+    except BaseException:
+        # Any failure here (a draw outside the domain, a full disk, a Ctrl-C)
         # leaves every file in --out as it was, and no directory made for them.
         with suppress(OSError):
             for d in made:
                 d.rmdir()
-        if not isinstance(exc, OSError):
-            raise
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise
     return EXIT_OK
 
 
@@ -323,17 +327,14 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
         yield partial(frame, block)
 
 
-class InputError(Exception):
-    """The log cannot be opened or read: exit 66. Not an OSError, which is the
-    output's, so that a read in either process fails the run alike."""
-
-
 def _reading(path, call, *args):
-    """call(*args), whose OSError is raised as the InputError of the log at `path`."""
+    """call(*args), whose OSError is raised as the exit-66 Failure of the log at
+    `path`: main takes an OSError for an output's, and a Failure pickles."""
     try:
         return call(*args)
     except OSError as exc:
-        raise InputError(f"cannot read input {path}: [Errno {exc.errno}] {exc.strerror}") from None
+        raise Failure(EXIT_NOINPUT,
+                      f"cannot read input {path}: [Errno {exc.errno}] {exc.strerror}") from None
 
 
 class _Log(io.RawIOBase):
@@ -399,10 +400,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     # an otherwise valid reading, instead of skipping each such row.
     EnvironmentReading(mu=1.0, sight_distance=0.0, design_speed=args.design_speed)
     input_path = Path(args.input)
-    if not input_path.is_file():  # a FIFO or a directory has no offsets to read at
+    if not _reading(input_path, input_path.is_file):  # a FIFO or a directory has no offsets
         what = "is not a regular file" if input_path.exists() else "file not found"
-        print(f"error: input {what}: {input_path}", file=sys.stderr)
-        return EXIT_NOINPUT
+        raise Failure(EXIT_NOINPUT, f"input {what}: {input_path}")
     _, _, joint = _build_joint(catalog)
 
     try:
@@ -412,42 +412,29 @@ def cmd_replay(args: argparse.Namespace) -> int:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or not {"timestamp", "mu", "sight_ft"}.issubset(header):
-                print("error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]",
-                      file=sys.stderr)
-                return EXIT_NODATA
+                raise Failure(EXIT_NODATA, "input must have columns "
+                              "timestamp,mu,sight_ft[,grade][,design_speed]")
             if repeated := repeated_column(header, (
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
-                print(f"error: {input_path}: header repeats column {repeated!r}", file=sys.stderr)
-                return EXIT_NODATA
+                raise Failure(EXIT_NODATA, f"{input_path}: header repeats column {repeated!r}")
             frames = _log_frames(header, args.design_speed, catalog, joint, numbered_records(reader))
-            with closing(_blocks(frames)) as blocks:
-                for warnings, first in blocks:
+            # Opened before any row is scored, an output that cannot be written fails first.
+            with (closing(_blocks(frames)) as blocks,
+                  _output(args.out) if args.out else nullcontext(sys.stdout) as out):
+                out_header = ",".join(REPLAY_COLUMNS) + "\n"
+                for warnings, text in blocks:
                     sys.stderr.write(warnings)
-                    if first:
-                        break
-                else:
-                    print("error: no valid rows in input", file=sys.stderr)
-                    return EXIT_NODATA
-                try:
-                    with _output(args.out) if args.out else nullcontext(sys.stdout) as out:
-                        out.write(",".join(REPLAY_COLUMNS) + "\n")
-                        out.write(first)
-                        for warnings, text in blocks:
-                            sys.stderr.write(warnings)
-                            out.write(text)
-                except OSError as exc:
-                    print(f"error: cannot write output: {exc}", file=sys.stderr)
-                    return EXIT_IO
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
+                    if out_header and text:
+                        out.write(out_header)
+                        out_header = ""
+                    out.write(text)
+                if out_header:  # raised in the output, which is then left as it was
+                    raise Failure(EXIT_NODATA, "no valid rows in input")
     except UnicodeDecodeError as exc:
-        print(f"error: {input_path} is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_NODATA
+        raise Failure(EXIT_NODATA, f"{input_path} is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
-        print(f"error: {input_path} is not readable CSV at line {reader.line_num}: {exc}",
-              file=sys.stderr)
-        return EXIT_NODATA
+        raise Failure(EXIT_NODATA, f"{input_path} is not readable CSV at line "
+                      f"{reader.line_num}: {exc}") from None
     return EXIT_OK
 
 
@@ -531,11 +518,23 @@ def main(argv: list[str] | None = None) -> int:
     previous = None
     with suppress(ValueError):  # only the main thread may set one: elsewhere SIGTERM is as it was
         previous = signal.signal(signal.SIGTERM, _terminated)
-    # The one place an invalid flag, reading or --config, a worker's end or a run too large
-    # for memory becomes exit 64; commands handle only errors that map elsewhere.
+    # The one place a failure becomes an `error:` line and an exit code:
+    # commands raise, and convert only the errors of what they read.
     try:
-        return args.func(args)
-    except (ValueError, OSError, MemoryError, WorkerError) as exc:
+        code = args.func(args)
+        print(end="", flush=True)  # a full stdout, if any, fails here, not as Python exits
+        return code
+    except Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except OSError as exc:  # an output's: each input raises a Failure of its own
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            print(end="", flush=True)
+        except OSError:  # stdout's bytes, which Python would flush again as it exits, go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    except (ValueError, MemoryError) as exc:  # a bad flag, reading or --config, or too large a run
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:  # Ctrl-C, after the command has removed its partial output

@@ -23,6 +23,15 @@ def _load_reference():
 reference = _load_reference()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def builtin_catalog():
+    """Every test, module fixtures included, starts without the caller's
+    $HAZARD_RISK_CONFIG, which would replace the built-in catalog."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(hazardrisk.cli.CONFIG_ENV_VAR, raising=False)
+        yield
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return default_catalog()

@@ -107,6 +107,20 @@ class TestBandValidation:
             HazardBand(dimension, "edge", low, high, 1.0)
 
 
+class TestCatalogValidation:
+    @pytest.mark.parametrize("name", [
+        "friction_bands", "visibility_bands", "sampling_visibility_bands"])
+    def test_empty_band_set_rejected(self, catalog, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected at least one band$"):
+            dataclasses.replace(catalog, **{name: ()})
+
+    def test_band_of_the_other_dimension_rejected(self, catalog):
+        bands = (*catalog.friction_bands, catalog.visibility_bands[-1])
+        with pytest.raises(ValueError,
+                           match="^friction_bands: band 'Clear' has wrong dimension$"):
+            dataclasses.replace(catalog, friction_bands=bands)
+
+
 class TestReadingValidation:
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -450,6 +450,21 @@ STOP_IDS = ["parent", "worker", "sigterm-parent", "sigterm-worker"]
 STOPS = pytest.mark.parametrize("stop, in_parent", STOP_CASES, ids=STOP_IDS)
 
 
+# The pipe that a fork needs, or the fork, fails as it would with no file
+# descriptor, or no process, to spare.
+FAILING_FORK = {"fork": errno.EAGAIN, "pipe": errno.EMFILE}
+
+
+def failing_call(name, calls):
+    """A stand-in for os.`name` that fails with its FAILING_FORK errno; each
+    call appends `name` to `calls`."""
+    def failing():
+        calls.append(name)
+        raise OSError(FAILING_FORK[name], os.strerror(FAILING_FORK[name]))
+
+    return failing
+
+
 class TestSimulateWorkers:
     # 7 samples a scenario in blocks of 3: each scenario's 3 blocks straddle
     # the turns of the parent and its worker.
@@ -457,9 +472,8 @@ class TestSimulateWorkers:
 
     # A label the csv module quotes: a comma, double quotes and a newline.
     @pytest.mark.parametrize("fog_label", [None, '"Dense, ""thick""\nFog"'])
-    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, cpus,
-                                                     default_rates_csv, fog_label):
-        monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, cpus, default_rates_csv,
+                                                     fog_label):
         flags = list(self.FLAGS)
         if fog_label:
             assert default_rates_csv.count(",Dense Fog,") == 2
@@ -615,16 +629,12 @@ class TestSimulateWorkers:
         assert result.stderr.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == (["made"] if samples == "7" else [])
 
-    def test_failed_fork_runs_serial(self, tmp_path, monkeypatch, cpus):
-        forks = cpus(2)
-
-        def fork():
-            forks.append(1)
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
+    @pytest.mark.parametrize("failing", FAILING_FORK)
+    def test_failed_fork_runs_serial(self, tmp_path, monkeypatch, cpus, failing):
+        forks, calls = cpus(2), []
+        monkeypatch.setattr(os, failing, failing_call(failing, calls))
         assert main(self.FLAGS + ["--out", str(tmp_path / "forked")]) == 0
-        assert len(forks) == 1
+        assert (calls, forks) == ([failing], [])
         assert_no_child_left()
         cpus(1)
         assert main(self.FLAGS + ["--out", str(tmp_path / "serial")]) == 0
@@ -933,19 +943,15 @@ class TestReplayWorkers:
         assert result.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]
 
-    def test_failed_fork_runs_serial(self, tmp_path, capfd, monkeypatch, cpus):
-        forks = cpus(2)
+    @pytest.mark.parametrize("failing", FAILING_FORK)
+    def test_failed_fork_runs_serial(self, tmp_path, capfd, monkeypatch, cpus, failing):
+        forks, calls = cpus(2), []
         src = tmp_path / "log.csv"
         src.write_text(replay_log(30))
-
-        def fork():
-            forks.append(1)
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, failing, failing_call(failing, calls))
         assert main(["replay", "--input", str(src)]) == 0
         forked = capfd.readouterr()
-        assert len(forks) == 1
+        assert (calls, forks) == ([failing], [])
         assert_no_child_left()
         cpus(1)
         assert main(["replay", "--input", str(src)]) == 0
@@ -1573,6 +1579,38 @@ class TestReplay:
         assert main(["replay", "--input", str(src)]) == 66
         assert capsys.readouterr().err == f"error: input is not a regular file: {src}\n"
 
+    # A header without a column that replay reads, and a log without a header.
+    @pytest.mark.parametrize("log", ["timestamp,mu\nt0,0.8\n", ""], ids=["no_sight_ft", "empty"])
+    def test_log_without_the_columns_it_reads_exits_65(self, tmp_path, capsys, log):
+        src = tmp_path / "readings.csv"
+        src.write_text(log)
+        assert main(["replay", "--input", str(src)]) == 65
+        assert capsys.readouterr() == (
+            "", "error: input must have columns timestamp,mu,sight_ft[,grade][,design_speed]\n")
+
+    # --input's stat fails as it would in a directory the user may not
+    # search; root may search any.
+    def test_input_that_cannot_be_looked_up_exits_66(self, tmp_path, capsys, monkeypatch):
+        def denied(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+        monkeypatch.setattr(Path, "is_file", denied)
+        assert main(["replay", "--input", str(src)]) == 66
+        assert capsys.readouterr() == (
+            "", f"error: cannot read input {src}: [Errno 13] Permission denied\n")
+
+    # --out is opened before any row is scored: one that cannot be made
+    # fails the run, even where no row would be valid, and nothing is left.
+    def test_unwritable_out_fails_before_the_rows_are_scored(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text("timestamp,mu,sight_ft\nt0,0,100\n")
+        assert main(["replay", "--input", str(src), "--out", str(tmp_path / "no" / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_zero_valid_rows_exits_65(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
         src.write_text("timestamp,mu,sight_ft\nt0,0,100\n")
@@ -1607,6 +1645,29 @@ class TestMatrix:
             "risk_score": 25,
             "risk_level": "Extreme",
         }
+
+
+# stdout on a full device, unbuffered or buffered as Python's default: a
+# write fails, or the flush that main makes once the command returns.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["assess", "--mu", "0.5", "--sight-ft", "100"], ["matrix"], ["matrix", "--format", "csv"],
+    ["matrix", "--format", "json"], ["replay", "--input", "{log}"]],
+    ids=["assess", "matrix", "matrix_csv", "matrix_json", "replay"])
+def test_full_stdout_exits_2(tmp_path, argv, buffered):
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "hazardrisk.cli", *(arg.format(log=log) for arg in argv)],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write output: [Errno 28] No space left on device\n")
 
 
 class TestArguments:
@@ -1741,6 +1802,16 @@ class TestConfigOverride:
         assert captured.err.startswith(f"error: crash-rate config {path} is not UTF-8 text: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dimension", ["friction", "visibility", "sampling_visibility"])
+    def test_config_without_a_dimensions_bands_exits_64_naming_it(self, tmp_path, capsys,
+                                                                  default_rates_csv, dimension):
+        path = tmp_path / "rates.csv"
+        path.write_text("".join(line for line in default_rates_csv.splitlines(keepends=True)
+                                if not line.startswith(f"{dimension},")))
+        assert main(["assess", "--mu", "0.5", "--sight-ft", "100", "--config", str(path)]) == 64
+        assert capsys.readouterr() == (
+            "", f"error: crash-rate config {path}: no {dimension} bands defined\n")
 
     def test_inconsistent_config_exits_64(self, bad_rates_path, capsys):
         assert main(["assess", "--mu", "0.8", "--sight-ft", "5000",

@@ -43,11 +43,7 @@ QUOTED_LABELS_SHA256 = {
 @pytest.fixture(scope="module")
 def seed42_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    # The built-in catalog is part of the reference; an inherited
-    # HAZARD_RISK_CONFIG must not replace it.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("HAZARD_RISK_CONFIG", raising=False)
-        assert main(["simulate", "--seed", "42", "--out", str(out)]) == 0
+    assert main(["simulate", "--seed", "42", "--out", str(out)]) == 0
     return out
 
 
@@ -61,8 +57,7 @@ def test_output_matches_golden_digest(seed42_dir, name):
     assert digest == GOLDEN_SHA256[name]
 
 
-def test_grade_and_design_speed_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+def test_grade_and_design_speed_match_golden_digests(tmp_path):
     assert main(["simulate", "--seed", "7", "--samples", "2000", "--grade", "0.03",
                  "--design-speed", "55", "--out", str(tmp_path)]) == 0
     for name, want in GRADE_SHA256.items():
@@ -135,8 +130,7 @@ CLI_GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN_SHA256))
-def test_cli_stdout_matches_golden_digest(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
+def test_cli_stdout_matches_golden_digest(name, tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text(REPLAY_LOG)
     quoted_log = tmp_path / "quoted_log.csv"
@@ -179,7 +173,6 @@ SKIP_REASONS_SHA256 = {
 
 
 def test_replay_skip_reasons_match_golden_digests(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HAZARD_RISK_CONFIG", raising=False)
     log = tmp_path / "log.csv"
     log.write_text(SKIP_REASONS_LOG)
     assert main(["replay", "--input", str(log)]) == 0

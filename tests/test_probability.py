@@ -78,6 +78,10 @@ class TestNormalizeMarginals:
         with pytest.raises(ValueError):
             normalize_marginals([])
 
+    def test_bands_of_two_dimensions_rejected(self, catalog):
+        with pytest.raises(ValueError, match="^all bands must share one dimension$"):
+            normalize_marginals([catalog.friction_bands[0], catalog.visibility_bands[0]])
+
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, scale):
         rates = [1.9, 3.75, 5.5, 9.0]
@@ -124,6 +128,15 @@ class TestJointProbability:
 
     def test_entry_count(self, joint_table):
         assert len(joint_table.entries) == 16
+
+    # The marginals swapped, or both of one dimension.
+    @pytest.mark.parametrize("dimensions", ["vf", "ff", "vv"])
+    def test_marginals_of_other_dimensions_rejected(self, catalog, dimensions):
+        marginals = {"f": normalize_marginals(list(catalog.friction_bands)),
+                     "v": normalize_marginals(list(catalog.visibility_bands))}
+        with pytest.raises(ValueError,
+                           match="^expected a friction marginal and a visibility marginal$"):
+            joint_probability(*(marginals[d] for d in dimensions))
 
 
 class TestScoreProbability:
