@@ -55,7 +55,7 @@ class HazardBand:
 
 
 # The three records of a scored reading (this one, SpeedProfile and
-# Assessment) store their fields with one __dict__ update: the generated
+# Assessment) store each field straight into __dict__: the generated
 # __init__ of a frozen dataclass calls object.__setattr__ once per field,
 # which costs a scalar assess() call more than its scoring. Assignment still
 # raises FrozenInstanceError, and dataclasses.replace() still comes through here.
@@ -73,18 +73,23 @@ class EnvironmentReading:
                  design_speed: float = 75.0):
         if not 0 < mu <= 1:
             raise ValueError(f"mu must be in (0, 1], got {mu}")
-        for name, value in (("sight_distance", sight_distance), ("grade", grade),
-                            ("design_speed", design_speed)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(sight_distance):
+            raise ValueError(f"sight_distance must be finite, got {sight_distance}")
+        if not math.isfinite(grade):
+            raise ValueError(f"grade must be finite, got {grade}")
+        if not math.isfinite(design_speed):
+            raise ValueError(f"design_speed must be finite, got {design_speed}")
         if sight_distance < 0:
             raise ValueError(f"sight_distance must be >= 0, got {sight_distance}")
         if mu + grade <= 0:
             raise ValueError(f"mu + grade must be > 0, got {mu + grade}")
         if design_speed <= 0:
             raise ValueError(f"design_speed must be > 0, got {design_speed}")
-        vars(self).update(mu=mu, sight_distance=sight_distance, grade=grade,
-                          design_speed=design_speed)
+        fields = self.__dict__
+        fields["mu"] = mu
+        fields["sight_distance"] = sight_distance
+        fields["grade"] = grade
+        fields["design_speed"] = design_speed
 
 
 @dataclass(frozen=True)

@@ -509,12 +509,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush(stream, text: str = "") -> None:
+    """Write text to stream and flush it. If it cannot be written, point its
+    descriptor at /dev/null: the bytes that Python would flush again as it
+    exits go nowhere, and the exit code stands."""
+    try:
+        print(text, end="", file=stream, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _error(message: str) -> None:
+    """main's one `error:` line, where stderr can take it."""
+    _flush(sys.stderr, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # 0 after --help or --version, else EXIT_USAGE
         return exc.code
+    # Python leaves a stream None if its descriptor was closed at start, and
+    # print() to None writes nothing. Such a stream gets a descriptor that
+    # refuses writes (EBADF), as a closed one does, line-buffered as stderr
+    # is: a command that writes it fails as for any output that cannot be written.
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.open(os.devnull, os.O_RDONLY), "w", 1, "utf-8"))
     previous = None
     with suppress(ValueError):  # only the main thread may set one: elsewhere SIGTERM is as it was
         previous = signal.signal(signal.SIGTERM, _terminated)
@@ -525,23 +547,20 @@ def main(argv: list[str] | None = None) -> int:
         print(end="", flush=True)  # a full stdout, if any, fails here, not as Python exits
         return code
     except Failure as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return exc.code
-    except OSError as exc:  # an output's: each input raises a Failure of its own
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        try:
-            print(end="", flush=True)
-        except OSError:  # stdout's bytes, which Python would flush again as it exits, go nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # an output's (stderr's too): each input raises a Failure of its own
+        _error(f"cannot write output: {exc}")
+        _flush(sys.stdout)
         return EXIT_IO
     except (ValueError, MemoryError) as exc:  # a bad flag, reading or --config, or too large a run
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _error(str(exc) or "out of memory")
         return EXIT_USAGE
     except KeyboardInterrupt:  # Ctrl-C, after the command has removed its partial output
-        print("error: interrupted", file=sys.stderr)
+        _error("interrupted")
         return EXIT_INTERRUPTED
     except Terminated:  # likewise
-        print("error: terminated", file=sys.stderr)
+        _error("terminated")
         return EXIT_TERMINATED
     finally:
         if previous is not None:

@@ -30,6 +30,11 @@ class JointEntry:
     normalized_joint: float
     probability_score: int
 
+    # Checked once here, for a table built by hand: risk.assess composes the
+    # score unchecked.
+    def __post_init__(self):
+        check_score(self.probability_score, "probability score")
+
 
 @dataclass(frozen=True)
 class JointProbabilityTable:
@@ -75,6 +80,12 @@ def joint_probability(p_f: MarginalDistribution, p_v: MarginalDistribution) -> J
     return JointProbabilityTable(tuple(
         JointEntry(fl, vl, raw, raw / total, score_probability(raw / total)) for fl, vl, raw in pairs
     ))
+
+
+def check_score(score: int, name: str) -> None:
+    """Refuse anything but an ordinal score, an int in 1..5."""
+    if not (isinstance(score, int) and 1 <= score <= 5):
+        raise ValueError(f"{name} must be an integer in 1..5, got {score!r}")
 
 
 def score_probability(p: float) -> int:

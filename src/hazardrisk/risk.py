@@ -3,12 +3,13 @@ the 5x5 risk matrix, and end-to-end assessment of a single reading."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
 from .bands import BandCatalog, EnvironmentReading, classify
-from .probability import JointProbabilityTable
-from .severity import SpeedProfile, score_severity, speed_profile
+from .probability import JointProbabilityTable, check_score
+from .severity import _SEVERITY_EDGES, SpeedProfile, _advisory, _safe_speed
 
 
 class RiskLevel(str, Enum):
@@ -37,27 +38,27 @@ class Assessment:
     risk_score: int
     risk_level: RiskLevel
 
-    # One __dict__ update, not a frozen dataclass's setattr per field (see
+    # Stores into __dict__, not a frozen dataclass's setattr per field (see
     # bands.EnvironmentReading).
     def __init__(self, reading: EnvironmentReading, friction_label: str, visibility_label: str,
                  joint_probability: float, probability_score: int, speed_profile: SpeedProfile,
                  severity_score: int, risk_score: int, risk_level: RiskLevel):
-        vars(self).update(reading=reading, friction_label=friction_label,
-                          visibility_label=visibility_label, joint_probability=joint_probability,
-                          probability_score=probability_score, speed_profile=speed_profile,
-                          severity_score=severity_score, risk_score=risk_score,
-                          risk_level=risk_level)
-
-
-def _check_score(score: int, name: str) -> None:
-    if not (isinstance(score, int) and 1 <= score <= 5):
-        raise ValueError(f"{name} must be an integer in 1..5, got {score!r}")
+        fields = self.__dict__
+        fields["reading"] = reading
+        fields["friction_label"] = friction_label
+        fields["visibility_label"] = visibility_label
+        fields["joint_probability"] = joint_probability
+        fields["probability_score"] = probability_score
+        fields["speed_profile"] = speed_profile
+        fields["severity_score"] = severity_score
+        fields["risk_score"] = risk_score
+        fields["risk_level"] = risk_level
 
 
 def composite_risk(p_score: int, s_score: int) -> int:
     """Composite risk score: probability score times severity score."""
-    _check_score(p_score, "probability score")
-    _check_score(s_score, "severity score")
+    check_score(p_score, "probability score")
+    check_score(s_score, "severity score")
     return p_score * s_score
 
 
@@ -83,11 +84,17 @@ def assess(
     joint_table: JointProbabilityTable,
 ) -> Assessment:
     """Classify a reading, look up its scenario's probability score, compute
-    the advisory-speed severity, and compose the risk score and level."""
+    the advisory-speed severity, and compose the risk score and level.
+
+    The same chain as speed_profile, score_severity, composite_risk and
+    risk_level, without their checks: the reading passed EnvironmentReading's
+    and the entry JointEntry's, and no later check can fail after those."""
     fband, vband = classify(reading, catalog)
     entry = joint_table.lookup(fband.label, vband.label)
-    profile = speed_profile(reading.mu, reading.grade, reading.sight_distance, reading.design_speed)
-    s_score = score_severity(profile.reduction_pct)
-    score = composite_risk(entry.probability_score, s_score)
-    return Assessment(reading, fband.label, vband.label, entry.normalized_joint,
-                      entry.probability_score, profile, s_score, score, risk_level(score))
+    profile = _advisory(_safe_speed(reading.mu + reading.grade, reading.sight_distance),
+                        reading.design_speed)
+    s_score = bisect_right(_SEVERITY_EDGES, profile.reduction_pct) + 1
+    p_score = entry.probability_score
+    score = p_score * s_score
+    return Assessment(reading, fband.label, vband.label, entry.normalized_joint, p_score,
+                      profile, s_score, score, _LEVELS[(score - 1) // 5])

@@ -788,6 +788,27 @@ class TestReplayWorkers:
             f"error: cannot read input {src}: [Errno 5] Input/output error\n")
         assert captured.err.count("\n") == warned + 1
 
+    # A warning in block 3, after the fork, that stderr refuses (EBADF): the
+    # run fails as for an output that cannot be written, on 1 and 2 CPUs.
+    def test_warning_that_cannot_be_written_exits_2(self, tmp_path, capfd, monkeypatch, cpus):
+        src = tmp_path / "log.csv"
+        src.write_text("timestamp,mu,sight_ft\n" + "".join(
+            f"t{i},{'abc' if i == 10 else 0.5},600\n" for i in range(20)))
+        out = tmp_path / "assessed.csv"
+        out.write_bytes(b"earlier result\n")
+        for n in (1, 2):
+            forks = cpus(n)
+            # A new stream each run: main points a stream that failed at /dev/null.
+            with (open(os.open(os.devnull, os.O_RDONLY), "w", 1) as stderr,
+                  monkeypatch.context() as patch):
+                patch.setattr(sys, "stderr", stderr)
+                assert main(["replay", "--input", str(src), "--out", str(out)]) == 2
+            assert len(forks) == n - 1
+            assert out.read_bytes() == b"earlier result\n"
+            assert sorted(tmp_path.iterdir()) == [out, src]
+            assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, capfd, cpus, to_file):
         src = tmp_path / "log.csv"
@@ -1668,6 +1689,70 @@ def test_full_stdout_exits_2(tmp_path, argv, buffered):
             stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (
         2, "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+def redirected_run(argv, redirect, cwd):
+    """hazardrisk argv in a fresh interpreter after the shell redirection
+    `redirect`: "1>&-" closes stdout, so that Python starts with sys.stdout
+    None; "2</dev/null" leaves stderr open on a descriptor that refuses
+    writes (EBADF), as Python may find a closed one reused."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m hazardrisk.cli "$@" {redirect}', sys.executable, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
+# A log whose second row cannot be parsed: replay warns of it.
+WARNED_LOG = "timestamp,mu,sight_ft\nt0,0.8,5000\nt1,abc,100\nt2,0.5,100\n"
+
+
+# stdout closed at start: each command that writes it fails as for any
+# output that cannot be written.
+@pytest.mark.parametrize("argv", [
+    ["assess", "--mu", "0.5", "--sight-ft", "100"],
+    ["assess", "--mu", "0.5", "--sight-ft", "100", "--format", "csv"], ["matrix"],
+    ["matrix", "--format", "csv"], ["matrix", "--format", "json"], ["replay", "--input", "log.csv"]],
+    ids=["assess", "assess_csv", "matrix", "matrix_csv", "matrix_json", "replay"])
+def test_closed_stdout_exits_2(tmp_path, argv):
+    (tmp_path / "log.csv").write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
+    result = redirected_run(argv, "1>&-", tmp_path)
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write output: [Errno 9] Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--samples", "3", "--out", "out"],
+                                  ["replay", "--input", "log.csv", "--out", "out"]],
+                         ids=["simulate", "replay"])
+def test_closed_stdout_changes_no_run_into_out(tmp_path, argv):
+    results = []
+    for name, redirect in (("open", ""), ("closed", "1>&-")):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "log.csv").write_text(WARNED_LOG)
+        result = redirected_run(argv, redirect, run)
+        out = run / "out"
+        results.append((result.returncode, result.stderr,
+                        tree(out) if out.is_dir() else out.read_bytes()))
+    assert results[1] == results[0]
+    assert results[0][0] == 0
+
+
+# stderr closed at start, or refusing writes: an error line that cannot be
+# written leaves the failure's own exit code, and a warning that cannot be
+# written fails replay as an output does, with --out left as it was.
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+@pytest.mark.parametrize("argv, code", [
+    (["assess", "--mu", "5", "--sight-ft", "100"], 64),
+    (["replay", "--input", "log.csv"], 2),
+    (["replay", "--input", "log.csv", "--out", "out.csv"], 2)],
+    ids=["assess", "replay", "replay_out"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, redirect, argv, code):
+    (tmp_path / "log.csv").write_text(WARNED_LOG)
+    (tmp_path / "out.csv").write_bytes(b"earlier result\n")
+    result = redirected_run(argv, redirect, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", "")
+    assert (tmp_path / "out.csv").read_bytes() == b"earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "out.csv"]
 
 
 class TestArguments:

@@ -2,12 +2,14 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
+import sys
 from dataclasses import astuple
 from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazardrisk import (
@@ -17,11 +19,14 @@ from hazardrisk import (
     SpeedProfile,
     assess,
     assess_columns,
+    classify,
     composite_risk,
     risk_level,
     risk_matrix,
+    score_severity,
     speed_profile,
 )
+from hazardrisk.probability import JointEntry
 from hazardrisk.reporting import ASSESSMENT_FIELDS
 
 
@@ -202,8 +207,58 @@ class TestAssessProperties:
             EnvironmentReading(**{**fields, field: value})
 
 
+MAX = sys.float_info.max
+# Readings EnvironmentReading accepts, over the whole float range: subnormal
+# friction, and sights, grades and design speeds up to the largest float (a
+# grade at or below -1 is never accepted, since mu <= 1).
+any_reading = st.fixed_dictionaries({
+    "mu": st.floats(min_value=0, max_value=1, exclude_min=True),
+    "sight_distance": st.one_of(st.floats(min_value=0, max_value=1e4), st.floats(0, MAX)),
+    "grade": st.one_of(st.floats(-1, 1), st.floats(-1, MAX)),
+    "design_speed": st.one_of(st.floats(0, 200, exclude_min=True),
+                              st.floats(0, MAX, exclude_min=True)),
+}).filter(lambda f: f["mu"] + f["grade"] > 0).map(lambda f: EnvironmentReading(**f))
+
+
+def checked_chain(reading, catalog, joint_table):
+    """assess() composed by hand from the public functions, each with its checks."""
+    fband, vband = classify(reading, catalog)
+    entry = joint_table.lookup(fband.label, vband.label)
+    profile = speed_profile(reading.mu, reading.grade, reading.sight_distance,
+                            reading.design_speed)
+    s_score = score_severity(profile.reduction_pct)
+    score = composite_risk(entry.probability_score, s_score)
+    return Assessment(reading, fband.label, vband.label, entry.normalized_joint,
+                      entry.probability_score, profile, s_score, score, risk_level(score))
+
+
+class TestCheckOnce:
+    """assess() skips the checks of the functions it stands for: no reading
+    that EnvironmentReading accepts may fail them, or score otherwise."""
+
+    @settings(max_examples=500)
+    @given(reading=any_reading)
+    @example(reading=EnvironmentReading(5e-324, 100.0))
+    @example(reading=EnvironmentReading(5e-324, MAX, MAX, MAX))
+    @example(reading=EnvironmentReading(1.0, MAX, -0.9999999999999999, 5e-324))
+    @example(reading=EnvironmentReading(0.05, 0.0, MAX, 75.0))
+    @example(reading=EnvironmentReading(0.5, 1e-300, -0.4999999999999999, 1e-300))
+    def test_assess_equals_the_checked_chain(self, catalog, joint_table, reading):
+        got = assess(reading, catalog, joint_table)
+        want = checked_chain(reading, catalog, joint_table)
+        assert got == want
+        # repr tells every float apart, including -0.0 from 0.0.
+        assert repr(astuple(got)) == repr(astuple(want))
+
+    @pytest.mark.parametrize("score", [0, 6, 2.0])
+    def test_hand_built_entry_with_a_score_outside_1_to_5_refused(self, score):
+        message = f"probability score must be an integer in 1..5, got {score!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointEntry("Dry", "Clear", 0.01, 0.01, score)
+
+
 # The three records of a scored reading, each built anew on every call from
-# the same values. Their __init__ is written by hand (one __dict__ update), so
+# the same values. Their __init__ is written by hand (direct __dict__ stores), so
 # these hold them to what a generated frozen dataclass gives.
 RECORDS = {
     EnvironmentReading: lambda catalog, joint: EnvironmentReading(0.5, 300.0, 0.01, 65.0),
