@@ -64,7 +64,8 @@ def _resolve_catalog(config_path: str | None) -> tuple[BandCatalog, str]:
     try:
         return (load_catalog(path), str(path)) if path else (default_catalog(), "builtin")
     except OSError as exc:  # an input's: main takes any other OSError for an output's
-        raise Failure(EXIT_USAGE, str(exc)) from None
+        raise Failure(EXIT_USAGE, f"cannot read crash-rate config {path}: "
+                      f"[Errno {exc.errno}] {exc.strerror}") from None
 
 
 def _build_joint(catalog: BandCatalog):

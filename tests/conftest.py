@@ -1,5 +1,14 @@
+import errno
 import importlib.util
+import json
 import os
+import resource
+import signal
+import sys
+import tempfile
+import traceback
+from contextlib import suppress
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -23,15 +32,6 @@ def _load_reference():
 reference = _load_reference()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def builtin_catalog():
-    """Every test, module fixtures included, starts without the caller's
-    $HAZARD_RISK_CONFIG, which would replace the built-in catalog."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(hazardrisk.cli.CONFIG_ENV_VAR, raising=False)
-        yield
-
-
 @pytest.fixture(scope="session")
 def catalog():
     return default_catalog()
@@ -46,7 +46,11 @@ def joint_table(catalog):
 
 @pytest.fixture(scope="session")
 def default_rates_csv(catalog):
-    """The default catalog as crash-rate CSV text, in load_catalog's schema."""
+    return rates_csv(catalog)
+
+
+def rates_csv(catalog):
+    """A catalog as crash-rate CSV text, in load_catalog's schema."""
     lines = ["dimension,label,lower,upper,crash_rate"]
     for dim, bands in [
         ("friction", catalog.friction_bands),
@@ -116,3 +120,115 @@ def cpus(monkeypatch):
     yield set_cpus
     if os.getpid() != test_process:  # a worker that went on as the parent
         real_exit(1)
+
+
+# The pipe that a fork needs, or the fork, fails as it would with no file
+# descriptor, or no process, to spare.
+FAILING_FORK = {"fork": errno.EAGAIN, "pipe": errno.EMFILE}
+
+
+def failing_call(name, calls):
+    """A stand-in for os.`name` that fails with its FAILING_FORK errno; each
+    call appends `name` to `calls`."""
+    def failing(*args):
+        calls.append(name)
+        raise OSError(FAILING_FORK[name], os.strerror(FAILING_FORK[name]))
+
+    return failing
+
+
+def full_disk(size):
+    """From here on, a write past `size` bytes into any file fails with EFBIG,
+    as on a full disk; the signal that would kill the process is ignored.
+    Pipes have no limit."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (size, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+def tree(root):
+    """Each path under root: a symlink's target, a directory's None or a file's bytes."""
+    return {p.relative_to(root).as_posix(): os.readlink(p) if p.is_symlink()
+            else None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# As this module found them: the cpus fixture counts the one and forbids the
+# other in the test process.
+_fork, _exit = os.fork, os._exit
+
+
+@dataclass
+class Run:
+    code: int  # main's return value, or minus the signal that ended the process
+    out: str  # what reached the stdout and stderr that run_forked gave the command
+    err: str
+    forks: int | None  # os.fork calls the command made; None if its process was killed
+    pid: int
+
+
+def run_forked(argv, setup=None) -> Run:
+    """main(argv) in a fork of this process, after setup() there: a fault
+    applied there changes nothing in this one. The command's stdout and
+    stderr are files, line-buffered as stderr is, unless setup() puts other
+    streams in their place; a traceback out of main goes to the stderr file.
+    The fork checks that the command leaves no child process; if one is left,
+    it exits 70."""
+    with (tempfile.TemporaryFile("w+", buffering=1) as out,
+          tempfile.TemporaryFile("w+", buffering=1) as err,
+          tempfile.TemporaryFile("w+") as result):
+        pid = _fork()
+        if pid == 0:
+            code = 70
+            try:
+                forks, fork = [], os.fork
+                os.fork = lambda: forks.append(1) or fork()
+                sys.stdout, sys.stderr = out, err
+                signal.signal(signal.SIGINT, signal.default_int_handler)
+                if setup:
+                    setup()
+                status = hazardrisk.cli.main(argv)
+                with suppress(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+                    status = 70
+                code = status
+                result.write(json.dumps(len(forks)))
+                result.flush()
+            except BaseException:
+                traceback.print_exc(file=err)
+            finally:
+                for stream in (sys.stdout, sys.stderr):
+                    with suppress(AttributeError, OSError):
+                        stream.flush()
+                _exit(code)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        texts = []
+        for stream in (out, err, result):
+            stream.seek(0)
+            texts.append(stream.read())
+    out, err, forks = texts
+    return Run(code, out, err, json.loads(forks) if forks else None, pid)
+
+
+def at_second_block(action, in_worker=False):
+    """A run_forked setup that runs action() as the command's process, or its
+    worker, formats the second block it makes: once output has begun."""
+    def setup():
+        parent, calls, assessed_text = os.getpid(), [], hazardrisk.cli.assessed_text
+
+        def formatting(*args):
+            calls.append(1)
+            if len(calls) == 2 and (os.getpid() != parent) == in_worker:
+                action()
+            return assessed_text(*args)
+
+        hazardrisk.cli.assessed_text = formatting
+
+    return setup
+
+
+def kill(signum):
+    return lambda: os.kill(os.getpid(), signum)
