@@ -4,6 +4,7 @@ import json
 import os
 import resource
 import signal
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -15,6 +16,8 @@ import pytest
 
 import hazardrisk.cli
 from hazardrisk import default_catalog, joint_probability, normalize_marginals
+
+SRC = str(Path(hazardrisk.cli.__file__).resolve().parents[1])
 
 
 def _load_reference():
@@ -151,6 +154,19 @@ def tree(root):
             else None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
 
+def redirected_run(argv, redirect, cwd):
+    """hazardrisk argv in a fresh interpreter after the shell redirection
+    `redirect`, stdout buffered as Python's default whatever the caller's
+    PYTHONUNBUFFERED: "1>&-" closes stdout, so that Python starts with
+    sys.stdout None; "2</dev/null" leaves stderr open on a descriptor that
+    refuses writes (EBADF), as Python may find a closed one reused."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m hazardrisk.cli "$@" {redirect}', sys.executable, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -176,7 +192,8 @@ def run_forked(argv, setup=None) -> Run:
     stderr are files, line-buffered as stderr is, unless setup() puts other
     streams in their place; a traceback out of main goes to the stderr file.
     The fork checks that the command leaves no child process; if one is left,
-    it exits 70."""
+    it exits 70. It ends as the interpreter would: stdout and stderr flushed,
+    and exit 120 if that flush fails."""
     with (tempfile.TemporaryFile("w+", buffering=1) as out,
           tempfile.TemporaryFile("w+", buffering=1) as err,
           tempfile.TemporaryFile("w+") as result):
@@ -200,9 +217,13 @@ def run_forked(argv, setup=None) -> Run:
             except BaseException:
                 traceback.print_exc(file=err)
             finally:
+                # As Python flushes them when it exits: a flush that fails there exits 120.
                 for stream in (sys.stdout, sys.stderr):
-                    with suppress(AttributeError, OSError):
-                        stream.flush()
+                    try:
+                        if stream is not None and not stream.closed:
+                            stream.flush()
+                    except OSError:
+                        code = 120
                 _exit(code)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         texts = []

@@ -26,7 +26,7 @@ import hazardrisk.batch
 import hazardrisk.cli
 import hazardrisk.sampler
 from conftest import (FAILING_FORK, assert_no_child_left, at_second_block, failing_call,
-                      full_disk, kill, run_forked, tree)
+                      full_disk, kill, redirected_run, run_forked, tree)
 from hazardrisk import (EnvironmentReading, SamplerConfig, assess, assess_columns,
                         default_catalog, generate_dataset, joint_probability, load_catalog,
                         normalize_marginals, scenario_samples, scenario_statistics)
@@ -1614,9 +1614,8 @@ class TestMatrix:
         }
 
 
-# stdout on a full device, unbuffered as PYTHONUNBUFFERED makes it, or
-# buffered as Python's default: a write fails, or the flush that main makes
-# once the command returns.
+# stdout on a full device, unbuffered or buffered as Python's default: a
+# write fails, or the flush that main makes once the command returns.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv", [
@@ -1626,27 +1625,16 @@ class TestMatrix:
 def test_full_stdout_exits_2(tmp_path, argv, buffered):
     log = tmp_path / "log.csv"
     log.write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
-
-    def full_stdout():
-        sys.stdout = (open("/dev/full", "w") if buffered else
-                      io.TextIOWrapper(open("/dev/full", "wb", 0), write_through=True))
-
-    result = run_forked([arg.format(log=log) for arg in argv], full_stdout)
-    assert (result.code, result.err) == (
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "hazardrisk.cli", *(arg.format(log=log) for arg in argv)],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (
         2, "error: cannot write output: [Errno 28] No space left on device\n")
-
-
-def redirected(name, how, cwd):
-    """A run_forked setup in `cwd`, with sys.`name` as Python leaves it: None
-    where the descriptor was closed at start (`how` "closed", as `1>&-`
-    makes it), or on a descriptor that refuses writes (EBADF; "read_only",
-    as `2</dev/null` makes it, or a closed one that Python finds reused)."""
-    def setup():
-        os.chdir(cwd)
-        setattr(sys, name, open(os.open(os.devnull, os.O_RDONLY), "w", 1)
-                if how == "read_only" else None)
-
-    return setup
 
 
 # A log whose second row cannot be parsed: replay warns of it.
@@ -1662,8 +1650,8 @@ WARNED_LOG = "timestamp,mu,sight_ft\nt0,0.8,5000\nt1,abc,100\nt2,0.5,100\n"
     ids=["assess", "assess_csv", "matrix", "matrix_csv", "matrix_json", "replay"])
 def test_closed_stdout_exits_2(tmp_path, argv):
     (tmp_path / "log.csv").write_text("timestamp,mu,sight_ft\nt0,0.8,5000\n")
-    result = run_forked(argv, redirected("stdout", "closed", tmp_path))
-    assert (result.code, result.err) == (
+    result = redirected_run(argv, "1>&-", tmp_path)
+    assert (result.returncode, result.stderr) == (
         2, "error: cannot write output: [Errno 9] Bad file descriptor\n")
 
 
@@ -1672,14 +1660,14 @@ def test_closed_stdout_exits_2(tmp_path, argv):
                          ids=["simulate", "replay"])
 def test_closed_stdout_changes_no_run_into_out(tmp_path, argv):
     results = []
-    for name in ("open", "closed"):
+    for name, redirect in (("open", ""), ("closed", "1>&-")):
         run = tmp_path / name
         run.mkdir()
         (run / "log.csv").write_text(WARNED_LOG)
-        result = run_forked(argv, redirected("stdout", name, run) if name == "closed"
-                            else lambda: os.chdir(run))
+        result = redirected_run(argv, redirect, run)
         out = run / "out"
-        results.append((result.code, result.err, tree(out) if out.is_dir() else out.read_bytes()))
+        results.append((result.returncode, result.stderr,
+                        tree(out) if out.is_dir() else out.read_bytes()))
     assert results[1] == results[0]
     assert results[0][0] == 0
 
@@ -1687,17 +1675,17 @@ def test_closed_stdout_changes_no_run_into_out(tmp_path, argv):
 # stderr closed at start, or refusing writes: an error line that cannot be
 # written leaves the failure's own exit code, and a warning that cannot be
 # written fails replay as an output does, with --out left as it was.
-@pytest.mark.parametrize("how", ["closed", "read_only"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
 @pytest.mark.parametrize("argv, code", [
     (["assess", "--mu", "5", "--sight-ft", "100"], 64),
     (["replay", "--input", "log.csv"], 2),
     (["replay", "--input", "log.csv", "--out", "out.csv"], 2)],
     ids=["assess", "replay", "replay_out"])
-def test_unwritable_stderr_keeps_the_exit_code(tmp_path, how, argv, code):
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, redirect, argv, code):
     (tmp_path / "log.csv").write_text(WARNED_LOG)
     (tmp_path / "out.csv").write_bytes(b"earlier result\n")
-    result = run_forked(argv, redirected("stderr", how, tmp_path))
-    assert (result.code, result.out, result.err) == (code, "", "")
+    result = redirected_run(argv, redirect, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", "")
     assert (tmp_path / "out.csv").read_bytes() == b"earlier result\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "out.csv"]
 

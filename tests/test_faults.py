@@ -22,7 +22,6 @@ import re
 import shutil
 import signal
 import stat
-import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -35,12 +34,11 @@ import hazardrisk.batch  # noqa: F401  (see NOBODY)
 import hazardrisk.cli
 import hazardrisk.sampler  # noqa: F401  (see NOBODY)
 from conftest import (assert_no_child_left, at_second_block, failing_call, full_disk, kill,
-                      rates_csv, run_forked, tree)
+                      rates_csv, redirected_run, run_forked, tree)
 from hazardrisk import default_catalog
 from hazardrisk.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = str(Path(hazardrisk.cli.__file__).resolve().parents[1])
 
 # Every exit code of the command line, by what it means.
 EXIT = {"success": 0, "unwritable output": 2, "usage or configuration": 64,
@@ -55,8 +53,18 @@ ERROR = {OUTPUT: "error: cannot write output: ", INTERRUPTED: "error: interrupte
 # A user other than root, which the cells that need one drop to when the
 # suite runs as root. That user may be unable to read the checkout, or even
 # the interpreter's standard library, so each module a command loads late is
-# imported above.
+# imported above. Any other import in those cells fails, as root or not, with
+# LATE_IMPORT's message.
 NOBODY = 65534
+LATE_IMPORT = "{} is first imported in a cell that drops to uid 65534: import it above"
+
+
+class NoImport:
+    """A first place on sys.meta_path that refuses every module not yet loaded."""
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        raise ImportError(LATE_IMPORT.format(name))
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,7 @@ def read_only(cell):
 
 
 def as_other_user():
+    sys.meta_path.insert(0, NoImport)
     if os.geteuid() == 0:
         os.setgroups([])
         os.setgid(NOBODY)
@@ -407,10 +416,7 @@ def test_cell(row, name, cpus, cell_dir, simulated, clean_runs):
 def test_stream_in_a_fresh_interpreter(tmp_path, argv, redirect, code, err):
     (tmp_path / "log.csv").write_text(LOG)
     (tmp_path / "out.csv").write_bytes(EARLIER)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        ["sh", "-c", f'exec "$0" -m hazardrisk.cli "$@" {redirect}', sys.executable, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    result = redirected_run(argv, redirect, tmp_path)
     assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
     assert tree(tmp_path) == {"log.csv": LOG.encode(), "out.csv": EARLIER}
 
