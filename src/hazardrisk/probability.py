@@ -20,6 +20,14 @@ class MarginalDistribution:
 
     dimension: Dimension
     probs: tuple[tuple[str, float], ...]
+    # What the probs were normalized from, in their order: the bands' crash
+    # rates, for a distribution from normalize_marginals. joint_probability
+    # scores each cell from these exactly; None means the probs themselves.
+    weights: tuple[float, ...] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.weights is not None and len(self.weights) != len(self.probs):
+            raise ValueError("weights must match probs one to one")
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ def normalize_marginals(bands: list[HazardBand]) -> MarginalDistribution:
         raise ValueError("all bands must share one dimension")
     total = sum(band.crash_rate for band in bands)
     probs = tuple((band.label, band.crash_rate / total) for band in bands)
-    return MarginalDistribution(dimension=dimensions.pop(), probs=probs)
+    return MarginalDistribution(dimensions.pop(), probs, tuple(band.crash_rate for band in bands))
 
 
 def joint_probability(p_f: MarginalDistribution, p_v: MarginalDistribution) -> JointProbabilityTable:
@@ -70,16 +78,44 @@ def joint_probability(p_f: MarginalDistribution, p_v: MarginalDistribution) -> J
 
     Raw products are renormalized over all pairs; an identity when both
     marginals sum to one, but it restores a proper distribution when a
-    user-supplied table is unnormalized. Scores are assigned from the
-    normalized values.
+    user-supplied table is unnormalized. Each cell's score is decided from
+    the marginals' weights without rounding: the joint w_f * w_v / (sum(w_f)
+    * sum(w_v)) against the float edge constants. The normalized value it
+    reports is the float chain's, which can round across an edge.
     """
     if p_f.dimension is not Dimension.FRICTION or p_v.dimension is not Dimension.VISIBILITY:
         raise ValueError("expected a friction marginal and a visibility marginal")
     pairs = [(fl, vl, pf * pv) for fl, pf in p_f.probs for vl, pv in p_v.probs]
     total = sum(raw for _, _, raw in pairs)
+    (f_parts, f_whole), (v_parts, v_whole) = map(_integer_weights, (p_f, p_v))
+    # A cell's exact joint part / whole exceeds the edge n / d when
+    # part * d > n * whole. Taken in absolute value: a joint in [0, 1] has
+    # part and whole of one sign.
+    parts = [abs(f * v) for f in f_parts for v in v_parts]
+    whole = abs(f_whole * v_whole)
+    edges = [(d, n * whole) for n, d in map(float.as_integer_ratio, _PROBABILITY_EDGES)]
     return JointProbabilityTable(tuple(
-        JointEntry(fl, vl, raw, raw / total, score_probability(raw / total)) for fl, vl, raw in pairs
+        JointEntry(fl, vl, raw, raw / total, _exact_score(raw / total, part, edges))
+        for (fl, vl, raw), part in zip(pairs, parts)
     ))
+
+
+def _integer_weights(marginal: MarginalDistribution) -> tuple[list[int], int]:
+    """A marginal's weights as integers over one common power-of-two
+    denominator, and their sum: any ratio of these equals that of the floats."""
+    weights = marginal.weights or [p for _, p in marginal.probs]
+    ratios = [w.as_integer_ratio() for w in weights]
+    denominator = max((d for _, d in ratios), default=1)
+    parts = [n * (denominator // d) for n, d in ratios]
+    return parts, sum(parts)
+
+
+def _exact_score(p: float, part: int, edges: list[tuple[int, int]]) -> int:
+    """score_probability of a cell whose float joint is p: one more than the
+    edges its exact part exceeds (the bins are right-closed)."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
+    return 1 + sum(part * d > bound for d, bound in edges)
 
 
 def check_score(score: int, name: str) -> None:

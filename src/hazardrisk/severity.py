@@ -52,14 +52,6 @@ def fhwa_safe_speed(mu: float, grade: float, sight_distance: float) -> float:
         raise ValueError(f"mu + grade must be > 0, got {mg}")
     if sight_distance < 0:
         raise ValueError(f"sight distance must be >= 0, got {sight_distance}")
-    return _safe_speed(mg, sight_distance)
-
-
-# fhwa_safe_speed and advisory_speed end in unchecked cores, this one and
-# _advisory. risk.assess calls the cores directly: no check of the two can
-# fail for a reading that EnvironmentReading accepted (tests/test_risk.py
-# holds assess to the checked chain).
-def _safe_speed(mg: float, sight_distance: float) -> float:
     v = textbook_safe_speed(mg, sight_distance)
     if not math.isfinite(v):
         v = fallback_safe_speed(mg, sight_distance)
@@ -90,10 +82,6 @@ def advisory_speed(v_fhwa: float, v_design: float) -> SpeedProfile:
         raise ValueError(f"safe speed must be >= 0, got {v_fhwa}")
     if v_design <= 0:
         raise ValueError(f"design speed must be > 0, got {v_design}")
-    return _advisory(v_fhwa, v_design)
-
-
-def _advisory(v_fhwa: float, v_design: float) -> SpeedProfile:
     v_scaled = SPEED_SCALE * v_fhwa
     v_advisory = min(v_design, v_scaled)
     # Clamp: the division can overshoot 100 by one ulp when v_advisory is 0.

@@ -1,5 +1,7 @@
 """Scoring one reading loads no numpy: the array forms live in hazardrisk.batch
-and hazardrisk.sampler, which the package imports on first use."""
+and hazardrisk.sampler, which the package imports on first use. Nor does it
+load fractions or decimal: the joint table decides its scores exactly in
+integers."""
 
 import os
 import subprocess
@@ -12,18 +14,21 @@ import hazardrisk
 
 SRC = Path(hazardrisk.__file__).resolve().parents[1]
 
-# Runs in a fresh interpreter: numpy must still be absent after every step.
+# Runs in a fresh interpreter: numpy, fractions and decimal must still be
+# absent after every step.
 SCALAR_STEPS = """
 import contextlib, io, sys
 
 def numpy_free(step):
-    assert "numpy" not in sys.modules, f"numpy loaded by {step}"
+    loaded = {"numpy", "fractions", "decimal"}.intersection(sys.modules)
+    assert not loaded, f"{sorted(loaded)} loaded by {step}"
 
 import hazardrisk as h
 numpy_free("import hazardrisk")
 catalog = h.default_catalog()
 joint = h.joint_probability(h.normalize_marginals(list(catalog.friction_bands)),
                             h.normalize_marginals(list(catalog.visibility_bands)))
+numpy_free("the built-in table build")
 assert h.assess(h.EnvironmentReading(0.25, 582), catalog, joint).risk_score == 16
 numpy_free("assess()")
 from hazardrisk.cli import main

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hazardrisk import joint_probability, normalize_marginals, score_probability
@@ -137,6 +139,62 @@ class TestJointProbability:
         with pytest.raises(ValueError,
                            match="^expected a friction marginal and a visibility marginal$"):
             joint_probability(*(marginals[d] for d in dimensions))
+
+
+def exact_scores(f_rates, v_rates):
+    """Each cell's score from the rates in rational arithmetic, friction-major."""
+    edges = [Fraction(e) for e in (0.01, 0.02, 0.05, 0.1)]
+    f_total, v_total = sum(map(Fraction, f_rates)), sum(map(Fraction, v_rates))
+    return [1 + sum(Fraction(f) * Fraction(v) / (f_total * v_total) > e for e in edges)
+            for f in f_rates for v in v_rates]
+
+
+def table_of(f_rates, v_rates):
+    f_bands = _bands(Dimension.FRICTION, [(f"f{i}", r) for i, r in enumerate(f_rates)])
+    v_bands = _bands(Dimension.VISIBILITY, [(f"v{i}", r) for i, r in enumerate(v_rates)])
+    return joint_probability(normalize_marginals(f_bands), normalize_marginals(v_bands))
+
+
+# Crash rates over a few decades, where the joints meet the edges, and over
+# the whole positive float range.
+rates = st.lists(st.one_of(st.floats(1e-3, 1e3), st.floats(5e-324, 1e300)), min_size=1,
+                 max_size=4)
+
+
+class TestExactJointScores:
+    """Each cell is scored from the crash rates without rounding; the printed
+    joint stays the float chain's."""
+
+    def test_a_cell_exactly_on_an_edge_scores_below_it(self):
+        table = table_of([1.0, 9.0], [1.0, 9.0])
+        first = table.entries[0]
+        # The exact joint is 1/100, at most the float 0.01; the float chain
+        # rounds it above.
+        assert first.normalized_joint == 0.010000000000000002
+        assert first.probability_score == 1
+        assert [e.probability_score for e in table.entries] == [1, 4, 4, 5]
+
+    @given(f_rates=rates, v_rates=rates)
+    @example(f_rates=[1.0], v_rates=[3.0])  # one cell, of joint 1
+    # A first cell of joint exactly the float 0.01, whose bin is closed above;
+    # the rates sum to exactly 1.
+    @example(f_rates=[0.01, 0.99, 8.673617379884035e-18], v_rates=[1.0])
+    # Rates 2**1074 apart, over a common denominator too large for a float.
+    @example(f_rates=[1.0, 5e-324], v_rates=[1.0])
+    def test_scores_are_the_rational_scores(self, f_rates, v_rates):
+        table = table_of(f_rates, v_rates)
+        assert [e.probability_score for e in table.entries] == exact_scores(f_rates, v_rates)
+
+    def test_probs_serve_as_weights_when_a_marginal_has_none(self):
+        p_f = MarginalDistribution(Dimension.FRICTION, (("a", 0.1), ("b", 0.9)))
+        p_v = MarginalDistribution(Dimension.VISIBILITY, (("x", 0.1), ("y", 0.9)))
+        # The float 0.1 is above 1/10: its exact square is above the float 0.01.
+        assert [e.probability_score for e in joint_probability(p_f, p_v).entries] == (
+            exact_scores([0.1, 0.9], [0.1, 0.9])) == [2, 4, 4, 5]
+
+    def test_weights_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="^weights must match probs one to one$"):
+            MarginalDistribution(Dimension.FRICTION, (("a", 0.5), ("b", 0.5)), (1.0,))
 
 
 class TestScoreProbability:

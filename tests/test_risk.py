@@ -26,6 +26,7 @@ from hazardrisk import (
     score_severity,
     speed_profile,
 )
+import hazardrisk.cli
 from hazardrisk.probability import JointEntry
 from hazardrisk.reporting import ASSESSMENT_FIELDS
 
@@ -232,6 +233,44 @@ def checked_chain(reading, catalog, joint_table):
                       entry.probability_score, profile, s_score, score, risk_level(score))
 
 
+def assert_assess_is_the_checked_chain(reading, catalog, joint_table):
+    got = assess(reading, catalog, joint_table)
+    want = checked_chain(reading, catalog, joint_table)
+    assert got == want
+    # repr tells every float apart, including -0.0 from 0.0.
+    assert repr(astuple(got)) == repr(astuple(want))
+
+
+# A second catalog, read as --config reads it: 3 friction and 5 visibility
+# bands, with gaps between the friction bands and between the literature
+# visibility bands, whose cuts are the gaps' midpoints.
+GAPPED_RATES = """dimension,label,lower,upper,crash_rate
+friction,Ice,0.05,0.12,10.0
+friction,Slush,0.3,0.5,4.0
+friction,Grip,0.75,1.0,1.0
+visibility,Whiteout,0,50,30.0
+visibility,Fog,80,300,8.0
+visibility,Mist,400,900,3.0
+visibility,Haze,1200,2500,1.2
+visibility,Clear,3000,6562,0.5
+sampling_visibility,Whiteout,0,60,30.0
+sampling_visibility,Fog,60,350,8.0
+sampling_visibility,Mist,350,1500,3.0
+sampling_visibility,Haze,1500,3200,1.2
+sampling_visibility,Clear,3200,6562,0.5
+"""
+GAPPED_CUTS = ((0.21, 0.625), (60.0, 350.0, 1500.0, 3200.0))
+
+
+@pytest.fixture(scope="module")
+def gapped(tmp_path_factory):
+    """(catalog, joint table) of GAPPED_RATES, through the CLI's --config path."""
+    path = tmp_path_factory.mktemp("gapped") / "rates.csv"
+    path.write_text(GAPPED_RATES)
+    catalog, _ = hazardrisk.cli._resolve_catalog(str(path))
+    return catalog, hazardrisk.cli._build_joint(catalog)[2]
+
+
 class TestCheckOnce:
     """assess() skips the checks of the functions it stands for: no reading
     that EnvironmentReading accepts may fail them, or score otherwise."""
@@ -243,18 +282,62 @@ class TestCheckOnce:
     @example(reading=EnvironmentReading(1.0, MAX, -0.9999999999999999, 5e-324))
     @example(reading=EnvironmentReading(0.05, 0.0, MAX, 75.0))
     @example(reading=EnvironmentReading(0.5, 1e-300, -0.4999999999999999, 1e-300))
+    # Each classification cut of the built-in catalog.
+    @example(reading=EnvironmentReading(0.175, 164.0))
+    @example(reading=EnvironmentReading(0.35, 1000.0))
+    @example(reading=EnvironmentReading(0.6499999999999999, 4000.0))
+    # The readings of TestAssessColumns whose reduction is a severity edge.
+    @example(reading=EnvironmentReading(0.5, 415.0, 0.0, 42.39257221459931))
+    @example(reading=EnvironmentReading(0.5, 100.0, 0.0, 17.40961915569003))
+    @example(reading=EnvironmentReading(0.5, 100.0, 0.0, 20.891542986828036))
+    @example(reading=EnvironmentReading(0.5, 100.0, 0.0, 41.783085973656085))
     def test_assess_equals_the_checked_chain(self, catalog, joint_table, reading):
-        got = assess(reading, catalog, joint_table)
-        want = checked_chain(reading, catalog, joint_table)
-        assert got == want
-        # repr tells every float apart, including -0.0 from 0.0.
-        assert repr(astuple(got)) == repr(astuple(want))
+        assert_assess_is_the_checked_chain(reading, catalog, joint_table)
+
+    @settings(max_examples=200)
+    @given(reading=any_reading)
+    # Each classification cut of the gapped catalog.
+    @example(reading=EnvironmentReading(0.21, 60.0))
+    @example(reading=EnvironmentReading(0.625, 350.0))
+    @example(reading=EnvironmentReading(1.0, 1500.0))
+    @example(reading=EnvironmentReading(0.05, 3200.0))
+    def test_assess_equals_the_checked_chain_on_a_gapped_catalog(self, gapped, reading):
+        assert_assess_is_the_checked_chain(reading, *gapped)
+
+    def test_gapped_catalog_cuts_at_its_examples(self, gapped):
+        catalog, joint_table = gapped
+        assert (catalog._friction_cuts, catalog._visibility_cuts) == GAPPED_CUTS
+        assert len(joint_table.entries) == 15
 
     @pytest.mark.parametrize("score", [0, 6, 2.0])
     def test_hand_built_entry_with_a_score_outside_1_to_5_refused(self, score):
         message = f"probability score must be an integer in 1..5, got {score!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             JointEntry("Dry", "Clear", 0.01, 0.01, score)
+
+
+# The Python frames one assess() call opens, by function name: its own and the
+# safe-speed formula it shares with batch.speed_profiles, plus the fallback
+# form where the textbook one overflows. A helper or an __init__ brought back
+# into the chain, each a frame, fails here.
+@pytest.mark.parametrize("reading,frames", [
+    (EnvironmentReading(0.5, 300.0, 0.01, 65.0), ["assess", "textbook_safe_speed"]),
+    (EnvironmentReading(5e-324, 100.0),
+     ["assess", "textbook_safe_speed", "fallback_safe_speed"]),
+], ids=["finite", "overflow"])
+def test_python_frames_of_one_assess_call(catalog, joint_table, reading, frames):
+    opened = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            opened.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        assess(reading, catalog, joint_table)
+    finally:
+        sys.setprofile(None)
+    assert opened == frames
 
 
 # The three records of a scored reading, each built anew on every call from
