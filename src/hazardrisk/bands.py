@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter
@@ -26,8 +25,50 @@ class Dimension(str, Enum):
     VISIBILITY = "visibility"
 
 
-@dataclass(frozen=True)
-class HazardBand:
+class Record:
+    """Base of the package's frozen records. A record's fields are its own
+    class annotations, in order, read once into __match_args__. Its __init__
+    checks the values and stores them; assignment and deletion raise
+    AttributeError. Two records are equal when they are of one class with
+    equal fields, and the hash and repr come from the same fields, as a
+    frozen dataclass's do. Attributes stored without an annotation are
+    outside all three."""
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _set_fields(self, *values):
+        # object.__setattr__ keeps the values inline in the object, where
+        # Python 3.11 reads them faster than from a __dict__ made by storing
+        # through it: this serves the records that assess() reads. The three
+        # it builds store through __dict__, which is quicker to fill.
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class HazardBand(Record):
     """A labeled interval of friction coefficient or sight distance with its
     empirical crash rate (crashes per 10^6 vehicle miles traveled)."""
 
@@ -37,37 +78,31 @@ class HazardBand:
     upper: float
     crash_rate: float
 
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(
-                f"band {self.label!r}: lower ({self.lower}) must be < upper ({self.upper})"
-            )
-        if not 0 < self.crash_rate < math.inf:
-            raise ValueError(f"band {self.label!r}: crash_rate must be finite and > 0")
-        if self.dimension is Dimension.FRICTION and not (0 <= self.lower and self.upper <= 1):
-            raise ValueError(f"band {self.label!r}: friction bounds must lie in [0, 1]")
-        if self.dimension is Dimension.VISIBILITY and not (0 <= self.lower and self.upper <= 6562):
-            raise ValueError(f"band {self.label!r}: visibility bounds must lie in [0, 6562] ft")
+    def __init__(self, dimension: Dimension, label: str, lower: float, upper: float,
+                 crash_rate: float):
+        if not lower < upper:
+            raise ValueError(f"band {label!r}: lower ({lower}) must be < upper ({upper})")
+        if not 0 < crash_rate < math.inf:
+            raise ValueError(f"band {label!r}: crash_rate must be finite and > 0")
+        if dimension is Dimension.FRICTION and not (0 <= lower and upper <= 1):
+            raise ValueError(f"band {label!r}: friction bounds must lie in [0, 1]")
+        if dimension is Dimension.VISIBILITY and not (0 <= lower and upper <= 6562):
+            raise ValueError(f"band {label!r}: visibility bounds must lie in [0, 6562] ft")
+        self._set_fields(dimension, label, lower, upper, crash_rate)
 
     @property
     def midpoint(self) -> float:
         return (self.lower + self.upper) / 2.0
 
 
-# The three records of a scored reading (this one, SpeedProfile and
-# Assessment) store each field straight into __dict__: the generated
-# __init__ of a frozen dataclass calls object.__setattr__ once per field,
-# which costs a scalar assess() call more than its scoring. Assignment still
-# raises FrozenInstanceError, and dataclasses.replace() still comes through here.
-@dataclass(frozen=True, init=False)
-class EnvironmentReading:
+class EnvironmentReading(Record):
     """One environment observation: friction coefficient, sight distance in
     feet, decimal road grade, and the roadway design speed in mph."""
 
     mu: float
     sight_distance: float
-    grade: float = 0.0
-    design_speed: float = 75.0
+    grade: float
+    design_speed: float
 
     def __init__(self, mu: float, sight_distance: float, grade: float = 0.0,
                  design_speed: float = 75.0):
@@ -92,14 +127,17 @@ class EnvironmentReading:
         fields["design_speed"] = design_speed
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """One friction-band x visibility-band pairing of the scenario grid."""
 
     scenario_id: int
     friction_band: HazardBand
     visibility_band: HazardBand
     practicality: str
+
+    def __init__(self, scenario_id: int, friction_band: HazardBand, visibility_band: HazardBand,
+                 practicality: str):
+        self._set_fields(scenario_id, friction_band, visibility_band, practicality)
 
 
 def _check_bands(bands: tuple[HazardBand, ...], dimension: Dimension, name: str) -> None:
@@ -115,22 +153,22 @@ def _check_bands(bands: tuple[HazardBand, ...], dimension: Dimension, name: str)
             raise ValueError(f"{name}: bands {lo.label!r} and {hi.label!r} overlap or are unsorted")
 
 
-@dataclass(frozen=True)
-class BandCatalog:
+class BandCatalog(Record):
     """Friction bands plus the two visibility band sets, each sorted ascending
     by lower bound. The two visibility sets carry the same labels and crash
-    rates; the classification cuts are derived once, at construction."""
+    rates; the classification cuts are derived once, at construction, and
+    kept beside the fields (outside eq, hash and repr)."""
 
     friction_bands: tuple[HazardBand, ...]
     visibility_bands: tuple[HazardBand, ...]
     sampling_visibility_bands: tuple[HazardBand, ...]
-    _friction_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _visibility_cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _check_bands(self.friction_bands, Dimension.FRICTION, "friction_bands")
-        _check_bands(self.visibility_bands, Dimension.VISIBILITY, "visibility_bands")
-        sampling = self.sampling_visibility_bands
+    def __init__(self, friction_bands: tuple[HazardBand, ...],
+                 visibility_bands: tuple[HazardBand, ...],
+                 sampling_visibility_bands: tuple[HazardBand, ...]):
+        _check_bands(friction_bands, Dimension.FRICTION, "friction_bands")
+        _check_bands(visibility_bands, Dimension.VISIBILITY, "visibility_bands")
+        sampling = sampling_visibility_bands
         _check_bands(sampling, Dimension.VISIBILITY, "sampling_visibility_bands")
         for lo, hi in zip(sampling, sampling[1:]):
             if hi.lower != lo.upper:
@@ -138,10 +176,11 @@ class BandCatalog:
         # Probability reads only the visibility rates: a differing sampling
         # rate would be a config value with no effect.
         if {b.label: b.crash_rate for b in sampling} != {
-                b.label: b.crash_rate for b in self.visibility_bands}:
+                b.label: b.crash_rate for b in visibility_bands}:
             raise ValueError("sampling_visibility_bands: labels and crash rates must match "
                              "visibility_bands one to one")
-        object.__setattr__(self, "_friction_cuts", _band_cuts(self.friction_bands))
+        self._set_fields(friction_bands, visibility_bands, sampling)
+        object.__setattr__(self, "_friction_cuts", _band_cuts(friction_bands))
         object.__setattr__(self, "_visibility_cuts", _band_cuts(sampling))
 
 

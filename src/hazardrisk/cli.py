@@ -19,7 +19,6 @@ import signal
 import sys
 import tempfile
 from contextlib import ExitStack, closing, contextmanager, nullcontext, suppress
-from dataclasses import asdict
 from functools import partial
 from itertools import chain, groupby, islice
 from operator import itemgetter
@@ -256,7 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             outputs = {"samples.csv": len(stats) * config.samples_per_scenario, "manifest.json": 1,
                        **{name: write_rows(files[name], *table) for name, table in tables.items()}}
             files["manifest.json"].write(manifest_text("simulate", __version__, config={
-                **asdict(config), "design_speed_mph": args.design_speed, "grade": args.grade,
+                **vars(config), "design_speed_mph": args.design_speed, "grade": args.grade,
                 "table_source": table_source}, outputs=outputs))
             for stream in files.values():
                 stream.flush()

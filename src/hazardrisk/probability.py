@@ -4,9 +4,7 @@ of independent friction/visibility hazards, and ordinal probability scoring."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-
-from .bands import Dimension, HazardBand
+from .bands import Dimension, HazardBand, Record
 
 # Upper edges of probability scores 1-4 on the normalized joint probability.
 # Intervals are left-open/right-closed except the lowest, which is closed
@@ -14,8 +12,7 @@ from .bands import Dimension, HazardBand
 _PROBABILITY_EDGES = (0.010, 0.020, 0.050, 0.100)
 
 
-@dataclass(frozen=True)
-class MarginalDistribution:
+class MarginalDistribution(Record):
     """Normalized crash probabilities for one hazard dimension, in band order."""
 
     dimension: Dimension
@@ -23,15 +20,16 @@ class MarginalDistribution:
     # What the probs were normalized from, in their order: the bands' crash
     # rates, for a distribution from normalize_marginals. joint_probability
     # scores each cell from these exactly; None means the probs themselves.
-    weights: tuple[float, ...] | None = field(default=None, repr=False)
+    weights: tuple[float, ...] | None
 
-    def __post_init__(self):
-        if self.weights is not None and len(self.weights) != len(self.probs):
+    def __init__(self, dimension: Dimension, probs: tuple[tuple[str, float], ...],
+                 weights: tuple[float, ...] | None = None):
+        if weights is not None and len(weights) != len(probs):
             raise ValueError("weights must match probs one to one")
+        self._set_fields(dimension, probs, weights)
 
 
-@dataclass(frozen=True)
-class JointEntry:
+class JointEntry(Record):
     friction_label: str
     visibility_label: str
     raw_joint: float
@@ -40,21 +38,24 @@ class JointEntry:
 
     # Checked once here, for a table built by hand: risk.assess composes the
     # score unchecked.
-    def __post_init__(self):
-        check_score(self.probability_score, "probability score")
+    def __init__(self, friction_label: str, visibility_label: str, raw_joint: float,
+                 normalized_joint: float, probability_score: int):
+        check_score(probability_score, "probability score")
+        self._set_fields(friction_label, visibility_label, raw_joint, normalized_joint,
+                         probability_score)
 
 
-@dataclass(frozen=True)
-class JointProbabilityTable:
+class JointProbabilityTable(Record):
     """Joint crash probabilities for all friction x visibility pairs,
-    friction-major in marginal order."""
+    friction-major in marginal order, with a label index beside them
+    (outside eq, hash and repr)."""
 
     entries: tuple[JointEntry, ...]
-    _by_labels: dict[tuple[str, str], JointEntry] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        by_labels = {(e.friction_label, e.visibility_label): e for e in self.entries}
-        object.__setattr__(self, "_by_labels", by_labels)
+    def __init__(self, entries: tuple[JointEntry, ...]):
+        self._set_fields(entries)
+        object.__setattr__(self, "_by_labels",
+                           {(e.friction_label, e.visibility_label): e for e in entries})
 
     def lookup(self, friction_label: str, visibility_label: str) -> JointEntry:
         return self._by_labels[(friction_label, visibility_label)]

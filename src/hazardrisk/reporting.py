@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, TextIO
 
@@ -64,7 +63,7 @@ SCENARIO_STATS_FIELDS = {
 }
 
 # A joint entry's field names are its CSV header.
-JOINT_COLUMNS = [f.name for f in fields(JointEntry)]
+JOINT_COLUMNS = list(JointEntry.__match_args__)
 
 HEATMAP_COLUMNS = ["severity_score"] + [f"prob_{p}" for p in range(1, 6)]
 

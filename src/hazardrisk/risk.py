@@ -4,11 +4,10 @@ the 5x5 risk matrix, and end-to-end assessment of a single reading."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from math import inf
 
-from .bands import BandCatalog, EnvironmentReading
+from .bands import BandCatalog, EnvironmentReading, Record
 from .probability import JointProbabilityTable, check_score
 from .severity import (_SEVERITY_EDGES, SPEED_SCALE, SpeedProfile, fallback_safe_speed,
                        textbook_safe_speed)
@@ -26,8 +25,7 @@ class RiskLevel(str, Enum):
 _LEVELS = tuple(RiskLevel)
 
 
-@dataclass(frozen=True, init=False)
-class Assessment:
+class Assessment(Record):
     """Full scored record for one environment reading."""
 
     reading: EnvironmentReading
@@ -40,8 +38,6 @@ class Assessment:
     risk_score: int
     risk_level: RiskLevel
 
-    # Stores into __dict__, not a frozen dataclass's setattr per field (see
-    # bands.EnvironmentReading).
     def __init__(self, reading: EnvironmentReading, friction_label: str, visibility_label: str,
                  joint_probability: float, probability_score: int, speed_profile: SpeedProfile,
                  severity_score: int, risk_score: int, risk_level: RiskLevel):

@@ -5,11 +5,10 @@ sight distance for each scenario of the grid, plus per-scenario risk statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandCatalog, Scenario, scenario_grid
+from .bands import BandCatalog, Record, Scenario, scenario_grid
 
 # Rejection sampling of a window holding less of the normal's mass is refused.
 # That bounds the rounds of a draw: its last accept alone takes about 1 / mass
@@ -17,32 +16,35 @@ from .bands import BandCatalog, Scenario, scenario_grid
 _MIN_ACCEPTANCE = 1e-4
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     """Sampling rules: band-midpoint mean, sigma = band range / sigma_rule
     (the default 6 puts the band edges at +-3 sigma)."""
 
-    seed: int = 42
-    samples_per_scenario: int = 100
-    sigma_rule: float = 6.0
+    seed: int
+    samples_per_scenario: int
+    sigma_rule: float
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.samples_per_scenario < 1:
-            raise ValueError(f"samples_per_scenario must be >= 1, got {self.samples_per_scenario}")
+    def __init__(self, seed: int = 42, samples_per_scenario: int = 100, sigma_rule: float = 6.0):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if samples_per_scenario < 1:
+            raise ValueError(f"samples_per_scenario must be >= 1, got {samples_per_scenario}")
         # Below 0.01 a band holds < 0.4% of the mass: rejection could fail.
-        if not 0.01 <= self.sigma_rule < np.inf:
-            raise ValueError(f"sigma_rule must be finite and >= 0.01, got {self.sigma_rule}")
+        if not 0.01 <= sigma_rule < np.inf:
+            raise ValueError(f"sigma_rule must be finite and >= 0.01, got {sigma_rule}")
+        self._set_fields(seed, samples_per_scenario, sigma_rule)
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
+class SampleSet(Record):
     """Sampled (friction, sight distance) pairs: a record array (scenario_id,
-    mu, sight_ft) with one contiguous block of n rows per scenario, in order."""
+    mu, sight_ft) with one contiguous block of n rows per scenario, in order.
+    Unhashable: its records are an array."""
 
     scenarios: tuple[Scenario, ...]
     records: np.recarray
+
+    def __init__(self, scenarios: tuple[Scenario, ...], records: np.recarray):
+        self._set_fields(scenarios, records)
 
     def __eq__(self, other):
         if not isinstance(other, SampleSet):
@@ -50,8 +52,7 @@ class SampleSet:
         return self.scenarios == other.scenarios and np.array_equal(self.records, other.records)
 
 
-@dataclass(frozen=True)
-class ScenarioStats:
+class ScenarioStats(Record):
     """Risk-score statistics for one scenario's samples."""
 
     scenario: Scenario
@@ -61,6 +62,10 @@ class ScenarioStats:
     upper_3sigma: float
     min: int
     max: int
+
+    def __init__(self, scenario: Scenario, mean: float, std: float, lower_3sigma: float,
+                 upper_3sigma: float, min: int, max: int):
+        self._set_fields(scenario, mean, std, lower_3sigma, upper_3sigma, min, max)
 
 
 def truncated_normal(mean: float, sigma: float, lower: float, upper: float,

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+
+from .bands import Record
 
 # Lower edges of severity scores 2-5 on percent speed reduction; bins are
 # left-closed.
@@ -15,8 +16,7 @@ _SEVERITY_EDGES = (6.67, 20.0, 100.0 / 3.0, 200.0 / 3.0)
 SPEED_SCALE = 15.0 / 22.0
 
 
-@dataclass(frozen=True, init=False)
-class SpeedProfile:
+class SpeedProfile(Record):
     """The advisory-speed chain: raw safe speed, scaled speed, final advisory
     capped at design speed, and percent reduction from design speed; floats
     for one reading, arrays for many (see batch.speed_profiles)."""
@@ -27,8 +27,6 @@ class SpeedProfile:
     v_design: float
     reduction_pct: float
 
-    # Stores into __dict__, not a frozen dataclass's setattr per field (see
-    # bands.EnvironmentReading).
     def __init__(self, v_fhwa: float, v_scaled: float, v_advisory: float, v_design: float,
                  reduction_pct: float):
         fields = self.__dict__

@@ -1,7 +1,9 @@
 """Scoring one reading loads no numpy: the array forms live in hazardrisk.batch
 and hazardrisk.sampler, which the package imports on first use. Nor does it
 load fractions or decimal: the joint table decides its scores exactly in
-integers."""
+integers. Nor dataclasses or inspect, which the package's records do without
+(bands.Record): importing them is most of what a one-reading command would
+otherwise spend before it scores."""
 
 import os
 import subprocess
@@ -14,30 +16,33 @@ import hazardrisk
 
 SRC = Path(hazardrisk.__file__).resolve().parents[1]
 
-# Runs in a fresh interpreter: numpy, fractions and decimal must still be
-# absent after every step.
+# Runs in a fresh interpreter: numpy, fractions, decimal, dataclasses and
+# inspect must still be absent after every step. typing is not among them:
+# site can load it before any step.
 SCALAR_STEPS = """
 import contextlib, io, sys
 
-def numpy_free(step):
-    loaded = {"numpy", "fractions", "decimal"}.intersection(sys.modules)
+def absent_after(step):
+    loaded = {"numpy", "fractions", "decimal", "dataclasses", "inspect"}.intersection(sys.modules)
     assert not loaded, f"{sorted(loaded)} loaded by {step}"
 
 import hazardrisk as h
-numpy_free("import hazardrisk")
+absent_after("import hazardrisk")
 catalog = h.default_catalog()
 joint = h.joint_probability(h.normalize_marginals(list(catalog.friction_bands)),
                             h.normalize_marginals(list(catalog.visibility_bands)))
-numpy_free("the built-in table build")
+absent_after("the built-in table build")
 assert h.assess(h.EnvironmentReading(0.25, 582), catalog, joint).risk_score == 16
-numpy_free("assess()")
+absent_after("assess()")
+import hazardrisk.cli
+absent_after("import hazardrisk.cli")
 from hazardrisk.cli import main
 for argv in (["assess", "--mu", "0.5", "--sight-ft", "100"],
              ["assess", "--mu", "0.5", "--sight-ft", "100", "--format", "csv"],
              ["matrix"], ["matrix", "--format", "csv"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    numpy_free(argv)
+    absent_after(argv)
 """
 
 

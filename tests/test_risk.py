@@ -4,7 +4,6 @@ import math
 import pickle
 import re
 import sys
-from dataclasses import astuple
 from operator import attrgetter
 
 import numpy as np
@@ -14,20 +13,34 @@ from hypothesis import strategies as st
 
 from hazardrisk import (
     Assessment,
+    BandCatalog,
     EnvironmentReading,
+    HazardBand,
+    JointProbabilityTable,
+    MarginalDistribution,
     RiskLevel,
+    SampleSet,
+    SamplerConfig,
+    Scenario,
     SpeedProfile,
     assess,
     assess_columns,
     classify,
     composite_risk,
+    default_catalog,
+    generate_dataset,
+    joint_probability,
+    normalize_marginals,
     risk_level,
     risk_matrix,
+    scenario_grid,
     score_severity,
     speed_profile,
 )
 import hazardrisk.cli
+from hazardrisk.bands import Dimension, Record
 from hazardrisk.probability import JointEntry
+from hazardrisk.sampler import ScenarioStats, scenario_stats
 from hazardrisk.reporting import ASSESSMENT_FIELDS
 
 
@@ -196,7 +209,7 @@ class TestAssessProperties:
         result = assess(EnvironmentReading(**fields), catalog, joint_table)
         assert result.risk_score == result.probability_score * result.severity_score
         assert result.risk_level == risk_level(result.risk_score)
-        assert all(map(math.isfinite, astuple(result.speed_profile)))
+        assert all(map(math.isfinite, vars(result.speed_profile).values()))
 
     @given(
         fields=reading_fields,
@@ -238,7 +251,7 @@ def assert_assess_is_the_checked_chain(reading, catalog, joint_table):
     want = checked_chain(reading, catalog, joint_table)
     assert got == want
     # repr tells every float apart, including -0.0 from 0.0.
-    assert repr(astuple(got)) == repr(astuple(want))
+    assert repr(tuple(vars(got).values())) == repr(tuple(vars(want).values()))
 
 
 # A second catalog, read as --config reads it: 3 friction and 5 visibility
@@ -340,15 +353,50 @@ def test_python_frames_of_one_assess_call(catalog, joint_table, reading, frames)
     assert opened == frames
 
 
-# The three records of a scored reading, each built anew on every call from
-# the same values. Their __init__ is written by hand (direct __dict__ stores), so
-# these hold them to what a generated frozen dataclass gives.
+def _scenario(catalog):
+    return scenario_grid(catalog)[5]
+
+
+# Every record of the package, each built anew on every call from the same
+# values. Their __init__ is written by hand (direct __dict__ stores) on one
+# base, bands.Record, so these hold them to what a frozen dataclass of the
+# same fields gives.
 RECORDS = {
+    HazardBand: lambda catalog, joint: HazardBand(Dimension.FRICTION, "Wet", 0.4, 0.6, 3.75),
     EnvironmentReading: lambda catalog, joint: EnvironmentReading(0.5, 300.0, 0.01, 65.0),
+    Scenario: lambda catalog, joint: _scenario(catalog),
+    BandCatalog: lambda catalog, joint: default_catalog(),
+    MarginalDistribution: lambda catalog, joint: normalize_marginals(
+        list(catalog.visibility_bands)),
+    JointEntry: lambda catalog, joint: JointEntry("Wet", "Clear", 0.125, 0.0625, 4),
+    JointProbabilityTable: lambda catalog, joint: joint_probability(
+        normalize_marginals(list(catalog.friction_bands)),
+        normalize_marginals(list(catalog.visibility_bands))),
     SpeedProfile: lambda catalog, joint: speed_profile(0.5, 0.01, 300.0, 65.0),
     Assessment: lambda catalog, joint: assess(
         EnvironmentReading(0.5, 300.0, 0.01, 65.0), catalog, joint),
+    SamplerConfig: lambda catalog, joint: SamplerConfig(7, 3, 5.0),
+    SampleSet: lambda catalog, joint: generate_dataset(SamplerConfig(7, 3), catalog),
+    ScenarioStats: lambda catalog, joint: scenario_stats(_scenario(catalog), np.array([4, 6, 8])),
 }
+# The defaults of each record's __init__: the twin below is given the same.
+DEFAULTS = {
+    EnvironmentReading: {"grade": 0.0, "design_speed": 75.0},
+    MarginalDistribution: {"weights": None},
+    SamplerConfig: {"seed": 42, "samples_per_scenario": 100, "sigma_rule": 6.0},
+}
+
+
+def test_every_record_is_listed():
+    assert set(Record.__subclasses__()) == set(RECORDS)
+
+
+def dataclass_twin(cls):
+    """A frozen dataclass with the record's name, fields and defaults."""
+    defaults = DEFAULTS.get(cls, {})
+    return dataclasses.make_dataclass(cls.__name__, [
+        (name, object, dataclasses.field(default=defaults[name])) if name in defaults else name
+        for name in cls.__match_args__], frozen=True)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=attrgetter("__name__"))
@@ -357,45 +405,66 @@ class TestRecords:
     def make(self, cls, catalog, joint_table):
         return lambda: RECORDS[cls](catalog, joint_table)
 
+    @pytest.fixture
+    def twin(self, cls, make):
+        record = make()
+        return dataclass_twin(cls)(*map(record.__getattribute__, cls.__match_args__))
+
     def test_fields_cannot_be_assigned_or_deleted(self, cls, make):
         record = make()
         assert type(record) is cls
-        for field in dataclasses.fields(cls):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, field.name, getattr(record, field.name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(record, field.name)
+        for name in (*cls.__match_args__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name, None))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
         assert record == make()
 
     def test_equal_values_give_equal_objects_and_hashes(self, cls, make):
         a, b = make(), make()
         assert a is not b
-        assert a == b and hash(a) == hash(b)
-        assert dataclasses.replace(a) == a
+        assert a == b and not a != b
+        if cls is SampleSet:  # its records are an array
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
 
     def test_every_field_is_stored_in_field_order(self, cls, make):
         record = make()
-        names = [field.name for field in dataclasses.fields(cls)]
-        assert list(vars(record)) == names
-        assert list(dataclasses.asdict(record)) == names
+        names = list(cls.__match_args__)
+        # Past the fields, only the private attributes derived from them.
+        assert [name for name in vars(record) if not name.startswith("_")] == names
+        assert list(vars(record))[:len(names)] == names
         assert repr(record).startswith(f"{cls.__name__}({names[0]}=")
-        assert cls(*vars(record).values()) == record
+        assert cls(*map(record.__getattribute__, names)) == record
 
     def test_pickle_round_trip_gives_an_equal_object(self, cls, make):
         record = make()
         loaded = pickle.loads(pickle.dumps(record))
         assert type(loaded) is cls
-        assert loaded == record and hash(loaded) == hash(record)
+        assert loaded == record
+        if cls is not SampleSet:
+            assert hash(loaded) == hash(record)
         assert list(vars(loaded)) == list(vars(record))
 
     def test_signature_lists_the_fields(self, cls):
         parameters = list(inspect.signature(cls).parameters.values())
+        twin = list(inspect.signature(dataclass_twin(cls)).parameters.values())
         assert [(p.name, p.default, p.kind) for p in parameters] == [
-            (f.name,
-             inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
-             inspect.Parameter.POSITIONAL_OR_KEYWORD)
-            for f in dataclasses.fields(cls)
-        ]
+            (p.name, p.default, p.kind) for p in twin]
+
+    def test_repr_hash_and_eq_are_a_frozen_dataclasss(self, cls, make, twin):
+        record = make()
+        assert repr(record) == repr(twin)
+        if cls is SampleSet:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(twin)
+        else:
+            assert hash(record) == hash(twin)
+        # Of two classes, even with equal fields: neither side claims equality.
+        assert record != twin and twin != record
+        assert record.__eq__(twin) is NotImplemented
 
 
 # Band edges and classification cuts of the built-in catalog, where a reading
