@@ -20,7 +20,7 @@ import sys
 import tempfile
 from contextlib import ExitStack, closing, contextmanager, nullcontext, suppress
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -289,33 +289,50 @@ def _number(text: str, default) -> float:
         return math.nan  # outside the domain: the row is then parsed alone for its message
 
 
-def _log_frames(header: list[str], design_speed: float, catalog, joint, records):
-    """A function for each block of at most BLOCK_ROWS numbered log records,
-    in order, that scores it: its frame is (warning lines, CSV text of its
-    valid readings). Only the last block is short, so a block 1 follows a
-    full block 0. Blank lines are skipped; a row not as wide as the header is
-    skipped with a warning, as is each row the domain mask rejects, parsed
-    alone for its message. Warnings are in line order."""
+def _records(path, reader, offset: int, count: int | None = None) -> list:
+    """The next `count` records of a csv.reader of the log at `path` (all, if
+    None), blank lines' [] included, as (line, fields): the record starts on
+    line + 1, counted from `offset` lines before the reader's first. A csv
+    error is raised as the exit-65 Failure that names its line, which a
+    worker's pickle keeps."""
+    try:
+        return [(offset + line, row) for line, row in islice(numbered_records(reader), count)]
+    except csv.Error as exc:
+        raise Failure(EXIT_NODATA, f"{path} is not readable CSV at line "
+                      f"{offset + reader.line_num}: {exc}") from None
+
+
+def _log_frames(path, header: list[str], design_speed: float, catalog, joint, fh, start: int):
+    """A function for each block of the log text `fh`, read on from its
+    header's last line `start`, in order, that scores it: its frame is
+    (warning lines, CSV text of its valid readings). Until a block's text
+    holds a quote, the block is the next BLOCK_ROWS lines: the csv module
+    reads each such line as one record. From that block on, a quoted field
+    may span lines, and a block is the next BLOCK_ROWS records of the csv
+    reader. Only the last block is short, so a block 1 follows a full block
+    0. The walk only reads lines; a block is split into fields by the
+    process that scores it. Blank lines are skipped; a row not as wide as
+    the header is skipped with a warning, as is each row the domain mask
+    rejects, parsed alone for its message. Warnings are in line order."""
     np = _numpy()
 
     from .batch import assess_columns, valid_readings
 
+    width = len(header)
     # An empty grade or design_speed cell, or no such column, takes the default.
     defaults = {"mu": "", "sight_ft": "", "grade": 0.0, "design_speed": design_speed}
 
-    def frame(block):
-        kept = [(line, row) for line, row in block if len(row) == len(header)]
-        warnings = [(line, "field count differs from header")
-                    for line, row in block if row and len(row) != len(header)]
-        fields = dict(zip(header, zip(*(row for _, row in kept))))
-        texts = [(fields.get(name, (d,) * len(kept)), d) for name, d in defaults.items()]
+    def scored(line_of, fields, warnings):
+        """The frame of the records whose columns are `fields`, record i
+        starting on line line_of[i] + 1, with the `warnings` already found."""
+        texts = [(fields.get(name, (d,) * len(line_of)), d) for name, d in defaults.items()]
         values = [np.array([_number(text, d) for text in column]) for column, d in texts]
         ok = valid_readings(*values)
         for i in np.flatnonzero(~ok).tolist():
             try:
                 EnvironmentReading(*(float(column[i] or d) for column, d in texts))
             except ValueError as exc:
-                warnings.append((kept[i][0], str(exc)))  # no traceback: it holds this frame
+                warnings.append((line_of[i], str(exc)))  # no traceback: it holds this frame
         text = ""
         if ok.any():
             text = assessed_text(np.array(fields["timestamp"], dtype=object)[ok],
@@ -323,8 +340,37 @@ def _log_frames(header: list[str], design_speed: float, catalog, joint, records)
         return "".join(f"warning: line {line + 1}: skipped ({reason})\n"
                        for line, reason in sorted(warnings, key=itemgetter(0))), text
 
-    for block in iter(lambda: list(islice(records, BLOCK_ROWS)), []):
-        yield partial(frame, block)
+    def records_frame(block):
+        kept = [(line, row) for line, row in block if len(row) == width]
+        warnings = [(line, "field count differs from header")
+                    for line, row in block if row and len(row) != width]
+        return scored([line for line, _ in kept], dict(zip(header, zip(*(row for _, row in kept)))),
+                      warnings)
+
+    def lines_frame(first, lines, text):
+        # Plain lines, which the csv module reads as `text` split at each
+        # comma: LF ends only, each line one record as wide as the header,
+        # no NUL (Python 3.10's csv module refuses it), and no line, so no
+        # field, past the field limit. Any other block of quote-free lines
+        # goes to the csv module.
+        if ("\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit()
+                or set(map(str.count, lines, repeat(","))) != {width - 1}):
+            return records_frame(_records(path, csv.reader(lines), first))
+        cells, stop = text.replace("\n", ",").split(","), len(lines) * width
+        return scored(range(first, first + len(lines)),
+                      {name: cells[j:stop:width] for j, name in enumerate(header)}, [])
+
+    for lines in iter(lambda: list(islice(fh, BLOCK_ROWS)), []):
+        text = "".join(lines)
+        if '"' in text:
+            break
+        yield partial(lines_frame, start, lines, text)
+        start += len(lines)
+    else:  # no quote in the log
+        return
+    reader = csv.reader(chain(lines, fh))
+    for block in iter(lambda: _records(path, reader, start, BLOCK_ROWS), []):
+        yield partial(records_frame, block)
 
 
 def _reading(path, call, *args):
@@ -409,15 +455,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
         with (_reading(input_path, open, input_path, "rb", 0) as raw,
               io.TextIOWrapper(io.BufferedReader(_Log(raw.fileno(), input_path)),
                                encoding="utf-8-sig", newline="") as fh):
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            reader = csv.reader(fh)  # the header's alone: _log_frames reads on from fh
+            header = next((row for _, row in _records(input_path, reader, 0, 1)), None)
             if header is None or not {"timestamp", "mu", "sight_ft"}.issubset(header):
                 raise Failure(EXIT_NODATA, "input must have columns "
                               "timestamp,mu,sight_ft[,grade][,design_speed]")
             if repeated := repeated_column(header, (
                     "timestamp", "mu", "sight_ft", "grade", "design_speed")):
                 raise Failure(EXIT_NODATA, f"{input_path}: header repeats column {repeated!r}")
-            frames = _log_frames(header, args.design_speed, catalog, joint, numbered_records(reader))
+            frames = _log_frames(input_path, header, args.design_speed, catalog, joint, fh,
+                                 reader.line_num)
             # Opened before any row is scored, an output that cannot be written fails first.
             with (closing(_blocks(frames)) as blocks,
                   _output(args.out) if args.out else nullcontext(sys.stdout) as out):
@@ -432,9 +479,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     raise Failure(EXIT_NODATA, "no valid rows in input")
     except UnicodeDecodeError as exc:
         raise Failure(EXIT_NODATA, f"{input_path} is not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise Failure(EXIT_NODATA, f"{input_path} is not readable CSV at line "
-                      f"{reader.line_num}: {exc}") from None
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hazardrisk.batch
@@ -1093,20 +1093,28 @@ class TestAssess:
 class TestReplay:
     # A skipped row's exception holds a traceback, and with it the frame that
     # scored the block: kept in a warning, it would leave every block's rows
-    # to the cyclic collector.
-    def test_scored_blocks_leave_no_reference_cycle(self, catalog, joint_table):
-        reader = csv.reader(io.StringIO(replay_log(300)))
-        header = next(reader)
-        frames = hazardrisk.cli._log_frames(header, 75.0, catalog, joint_table,
-                                            hazardrisk.cli.numbered_records(reader))
-        gc.collect()
-        gc.disable()
-        try:
-            warnings = "".join(frame()[0] for frame in frames)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-        assert warnings.count("warning: line") == 180
+    # to the cyclic collector. The first quote of replay_log is in its
+    # record 11, in block 0: csv records from the start. After 150 plain
+    # rows, a third of them skipped, it is in block 10: plain line blocks,
+    # then one with a blank line and a short row (9), then csv records.
+    def test_scored_blocks_leave_no_reference_cycle(self, monkeypatch, catalog, joint_table):
+        monkeypatch.setattr(hazardrisk.cli, "BLOCK_ROWS", 16)
+        header, body = replay_log(300).split("\n", 1)
+        for plain_rows, warned in [(0, 180), (150, 180 + 50)]:
+            fh = io.StringIO(header + "\n" + "".join(
+                f"p{i},{i % 3 / 2},600,0,55\n" for i in range(plain_rows)) + body)
+            reader = csv.reader(fh)
+            frames = hazardrisk.cli._log_frames("log.csv", next(reader), 75.0, catalog,
+                                                joint_table, fh, reader.line_num)
+            gc.collect()
+            gc.disable()
+            try:
+                warnings = "".join(frame()[0] for frame in frames)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+            assert warnings.count("warning: line") == warned
+            assert f"warning: line {plain_rows + 3}: skipped (could not convert" in warnings
 
     def test_replay_valid_file(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -2023,6 +2031,69 @@ def test_replay_scores_exactly_the_rows_the_reading_accepts(tmp_path, capsys, ce
     scored = [row[0] for row in csv.reader(io.StringIO(captured.out))][1:]
     assert scored == accepted
     assert captured.err.count("warning: line") == len(cells) - len(accepted)
+
+
+# The csv module's field limit while a log below is replayed, and fields
+# near it. A block of lines with no quote is split at its commas where the
+# csv module would read it the same way (LF ends, no NUL, no line past the
+# limit, the header's width), and read by the csv module otherwise.
+FIELD_LIMIT = 40
+QUOTE_FREE_FIELDS = st.sampled_from([
+    "", "0.5", "0.25", " 0.8", "600", "5000", "0.02", "55", "0", "-1", "abc", "nan", "1e3",
+    "0.\x005", "t\x00", "\x0c é", "\ufeff1", "t'1",
+    *("1".zfill(n) for n in range(FIELD_LIMIT - 1, FIELD_LIMIT + 2))])  # 1, zero-padded
+# Three lines in four are LF-ended rows as wide as the header; the others
+# are a blank line, a row of any width or either, ended by LF, CRLF or CR.
+# A row of one empty field would be written as a blank line.
+PLAIN_LINE = st.tuples(st.lists(QUOTE_FREE_FIELDS, min_size=5, max_size=5), st.just("\n"))
+QUOTE_FREE_LINES = st.one_of(PLAIN_LINE, PLAIN_LINE, PLAIN_LINE, st.tuples(
+    st.one_of(st.just([]), st.lists(QUOTE_FREE_FIELDS, min_size=1, max_size=7).filter(
+        lambda row: row != [""])),
+    st.sampled_from(["\n", "\r\n", "\r"])))
+
+
+@pytest.fixture
+def field_limit():
+    previous = csv.field_size_limit(FIELD_LIMIT)
+    yield
+    csv.field_size_limit(previous)
+
+
+# The log with no quote against the same rows with every field quoted,
+# which the csv module reads from the first block on; in blocks of 3 lines.
+# The examples are blocks that only one check keeps from being split at
+# commas: CR line ends before a blank cell, which float() would read as
+# "\r", and a field past the limit; and a last block of plain lines, with
+# and without its final line end.
+ROW = ["t", "0.5", "600", "0", ""]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(QUOTE_FREE_LINES, max_size=12),
+       bom=st.booleans(), final_newline=st.booleans())
+@example(rows=[(ROW, "\r\n")] * 3, bom=False, final_newline=True)
+@example(rows=[(ROW, "\r")] * 3, bom=False, final_newline=True)
+@example(rows=[(ROW, "\n"), (["1".zfill(FIELD_LIMIT + 1), *ROW[1:]], "\n")], bom=False,
+         final_newline=True)
+@example(rows=[(ROW, "\n")] * 4, bom=True, final_newline=False)
+@example(rows=[(ROW, "\n")] * 4, bom=False, final_newline=True)
+def test_quote_free_log_replays_as_its_quoted_twin(tmp_path, capfd, cpus, field_limit, rows, bom,
+                                                    final_newline):
+    src = tmp_path / "log.csv"
+    results = set()
+    for quote in ("", '"'):
+        lines = [",".join(f"{quote}{field}{quote}" for field in row) + end for row, end in rows]
+        text = "\ufeff" * bom + "timestamp,mu,sight_ft,grade,design_speed\n" + "".join(lines)
+        if rows and not final_newline:
+            text = text.removesuffix(rows[-1][1])
+        src.write_text(text, encoding="utf-8")
+        for n in (1, 2):
+            cpus(n)
+            rc = main(["replay", "--input", str(src)])
+            results.add((rc, *capfd.readouterr()))
+    assert len(results) == 1, results
+    assert_no_child_left()
 
 
 # Flag and config cell values at and past the edges of the domain: nan,

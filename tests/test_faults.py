@@ -67,10 +67,20 @@ class NoImport:
         raise ImportError(LATE_IMPORT.format(name))
 
 
+# replay's log: 20 rows of about 600 bytes, whose output passes the 8 kB that
+# a file buffers; the row that it warns of is in block 3, a worker's.
+LOG = "timestamp,mu,sight_ft\n" + "".join(
+    f"{'t' * 600}{i},{'abc' if i == 10 else 0.5},600\n" for i in range(20))
+# The same rows with row 7's timestamp quoted: blocks 0 and 1 are lines,
+# split at commas, and from block 2 on the csv module reads records.
+QUOTED_LOG = LOG.replace(f"\n{'t' * 600}7,", f'\n"{"t" * 600}7",')
+
+
 @dataclass(frozen=True)
 class Row:
     argv: tuple
     cpus: int = 1  # 2: a worker formats every odd block (blocks of 3 rows: the cpus fixture)
+    log: str = LOG  # replay's
 
     @property
     def command(self):
@@ -91,6 +101,7 @@ ROWS = {
     "simulate_forked": Row(SIMULATE, cpus=2),
     "replay_serial": Row(("replay",)),
     "replay_forked": Row(("replay",), cpus=2),
+    "replay_quoted": Row(("replay",), cpus=2, log=QUOTED_LOG),
     "assess_json": Row(ASSESS),
     "assess_csv": Row(ASSESS + ("--format", "csv")),
     "matrix_table": Row(("matrix",)),
@@ -98,10 +109,6 @@ ROWS = {
     "matrix_json": Row(("matrix", "--format", "json")),
 }
 
-# replay's log: 20 rows of about 600 bytes, whose output passes the 8 kB that
-# a file buffers; the row that it warns of is in block 3, a worker's.
-LOG = "timestamp,mu,sight_ft\n" + "".join(
-    f"{'t' * 600}{i},{'abc' if i == 10 else 0.5},600\n" for i in range(20))
 EARLIER = b"earlier result\n"
 
 
@@ -131,7 +138,7 @@ class Cell:
             shutil.copytree(simulated, self.out)
             (self.out / "keep.txt").write_text("the user's\n")
         elif self.row.command == "replay":
-            (self.dir / "log.csv").write_text(LOG)
+            (self.dir / "log.csv").write_text(self.row.log)
             self.out = self.dir / "out.csv"
             self.out.write_bytes(EARLIER)
             if self.fault.stream == "stdout":  # replay then writes its rows to stdout
@@ -286,8 +293,14 @@ def a_directory(root):
     return root / "a_dir"
 
 
+def input_text(root):
+    """The cell's replay log, or else a valid --config."""
+    log = root / "log.csv"
+    return log.read_text() if log.exists() else rates_csv(default_catalog())
+
+
 def utf16(root):
-    (root / "utf16.csv").write_text(LOG, encoding="utf-16")
+    (root / "utf16.csv").write_text(input_text(root), encoding="utf-16")
     return root / "utf16.csv"
 
 
@@ -298,7 +311,7 @@ def locked(name, mode):
     def make(root):
         path = root / name
         path.parent.mkdir(exist_ok=True)
-        path.write_text(LOG if (root / "log.csv").exists() else rates_csv(default_catalog()))
+        path.write_text(input_text(root))
         (path if path.parent == root else path.parent).chmod(mode)
         return path
 
@@ -384,7 +397,7 @@ def test_cell(row, name, cpus, cell_dir, simulated, clean_runs):
     cell = Cell(ROWS[row], FAULTS[name], cell_dir / "cell")
     clean = None
     if cell.code() == OK:  # the same files, and the run on one CPU without the fault
-        key = cell.row.argv, cell.fault.prepare, cell.fault.stream
+        key = cell.row.argv, cell.row.log, cell.fault.prepare, cell.fault.stream
         if key not in clean_runs:
             twin = Cell(cell.row, cell.fault, cell_dir / "clean")
             twin.dir.mkdir()
